@@ -18,12 +18,10 @@ from .cusum import (ApproximationFailureError, ChangeEstimates, ScoreMatrix,
                     vostrikova_critical, vostrikova_pvalue, vostrikova_tail)
 from .harness import (CellCoords, CellResult, ExperimentGrid, cells_to_csv,
                       format_table_panels, grid_sidecar, run_cell, run_grid)
-from .lrcov import (LagWindowKernel, LrCovEstimate, default_bandwidth,
-                    eigen_decompose, lag_cov, lrcov_estimate)
+from .lrcov import (LagWindowKernel, LrCovEstimate, default_bandwidth, lag_cov,
+                    lrcov_estimate)
 from .simulate import (ChangeSpec, Far1Simulator, IntegralKernel, SimSpec,
-                       brownian_bridge_curve, brownian_bridge_values,
-                       calibrate_kernel, far1_generate, integral_transform,
-                       make_change)
+                       brownian_bridge_values, calibrate_kernel, make_change)
 
 __all__ = [
     "ApproximationFailureError", "Basis", "BasisMismatchError", "CellCoords",
@@ -31,11 +29,10 @@ __all__ = [
     "CurveMatrix", "ExperimentGrid", "Far1Simulator", "FunctionalSample", "Grid",
     "IntegralKernel", "LagWindowKernel", "LrCovEstimate", "ScoreMatrix",
     "SimSpec", "SingularFitError", "TestConfig", "TestResult",
-    "brownian_bridge_curve", "brownian_bridge_values", "bspline_basis",
-    "calibrate_kernel", "cells_to_csv", "change_basis", "change_estimates",
-    "default_bandwidth", "eigen_decompose", "far1_generate", "fit_curve",
-    "fit_sample", "format_table_panels", "fourier_basis", "grid_sidecar",
-    "gumbel_critical", "gumbel_pvalue", "inner_product", "integral_transform",
+    "brownian_bridge_values", "bspline_basis", "calibrate_kernel",
+    "cells_to_csv", "change_basis", "change_estimates", "default_bandwidth",
+    "fit_curve", "fit_sample", "format_table_panels", "fourier_basis",
+    "grid_sidecar", "gumbel_critical", "gumbel_pvalue", "inner_product",
     "lag_cov", "lrcov_estimate", "make_change", "normalizers",
     "read_curves_csv", "run_cell", "run_grid", "run_test", "scores",
     "statistic", "vostrikova_critical", "vostrikova_pvalue",

@@ -229,23 +229,11 @@ class FunctionalSample:
             raise ValueError("sample must contain at least one curve")
         object.__setattr__(self, "coeffs", c)
 
-    @classmethod
-    def from_curves(cls, curves: list[Curve]) -> "FunctionalSample":
-        if not curves:
-            raise ValueError("sample must contain at least one curve")
-        basis = curves[0].basis
-        for c in curves[1:]:
-            _check_same_basis(basis, c.basis)
-        return cls(np.vstack([c.coeffs for c in curves]), basis)
-
     def __len__(self) -> int:
         return self.coeffs.shape[0]
 
     def curve(self, i: int) -> Curve:
         return Curve(self.coeffs[i], self.basis)
-
-    def curves(self) -> list[Curve]:
-        return [self.curve(i) for i in range(len(self))]
 
     def evaluate(self, grid: Grid) -> np.ndarray:
         """Values matrix of shape (n, len(grid))."""
@@ -380,6 +368,7 @@ def read_curves_csv(path: str) -> CurveMatrix:
         pts = np.asarray(raw_pts, dtype=float)
         if pts.size < 2:
             raise CurveCSVError("line 1: need at least two grid columns")
+        _require_finite(pts[None, :], [1], "abscissa")
         if not np.all(np.diff(pts) > 0):
             raise CurveCSVError("line 1: abscissae must be strictly increasing")
         rescaled = False
@@ -388,6 +377,7 @@ def read_curves_csv(path: str) -> CurveMatrix:
             pts[-1] = 1.0
             rescaled = True
         rows = []
+        linenos = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -397,11 +387,35 @@ def read_curves_csv(path: str) -> CurveMatrix:
             try:
                 rows.append([float(cell) for cell in row])
             except ValueError:
+                j = _first_non_numeric(row)
                 raise CurveCSVError(
-                    f"line {lineno}: non-numeric value in row") from None
+                    f"line {lineno}: non-numeric value in row, column "
+                    f"{j + 1}: {row[j]!r}") from None
+            linenos.append(lineno)
     if not rows:
         raise CurveCSVError("line 2: no curve rows found")
-    return CurveMatrix(np.asarray(rows, dtype=float), Grid(pts), rescaled)
+    values = np.asarray(rows, dtype=float)
+    _require_finite(values, linenos, "value")
+    return CurveMatrix(values, Grid(pts), rescaled)
+
+
+def _first_non_numeric(cells: list[str]) -> int:
+    """Index of the first cell float() rejects; the caller knows one does."""
+    for j, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return j
+
+
+def _require_finite(values: np.ndarray, linenos: list[int], what: str) -> None:
+    """One vectorised check; names the line and column of the first nan/inf."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise CurveCSVError(
+            f"line {linenos[i]}: non-finite {what} in column {j + 1}: "
+            f"{float(values[i, j])!r}")
 
 
 def write_curves_csv(path: str, values: np.ndarray, grid: Grid) -> None:

@@ -29,7 +29,6 @@ from .simulate import Far1Simulator, SimSpec
 
 REPORT_SCHEMA = "funcusum-report-1"
 SIM_SCHEMA = "funcusum-simulate-1"
-TABLES_SCHEMA = "funcusum-tables-1"
 
 
 class DataError(ValueError):
@@ -46,9 +45,12 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-def _load_json(path: str) -> dict:
+def _load_manifest(path: str) -> dict:
+    """The manifest a --replay file records: a test report keeps it under
+    "manifest", a simulate or tables sidecar is the manifest itself."""
     with open(path) as fh:
-        return json.load(fh)
+        loaded = json.load(fh)
+    return loaded.get("manifest", loaded)
 
 
 def _parse_keep(text: str) -> tuple[int, int]:
@@ -131,7 +133,6 @@ def _test_manifest(args) -> dict:
         "command": "test",
         "timestamp": _utc_stamp(),
         "input": args.input,
-        "seed": args.seed,
         "preprocess": {
             "drop_indices": list(args.drop_indices),
             "keep": list(args.keep) if args.keep else None,
@@ -161,14 +162,12 @@ def _args_from_test_manifest(manifest: dict, out: str | None) -> argparse.Namesp
                       prep["basis_smooth"]["order"]),
         fourier=prep["fourier"], log_ratio=prep["log_ratio"],
         keep=tuple(prep["keep"]) if prep["keep"] else None,
-        drop_indices=tuple(prep["drop_indices"]),
-        seed=manifest.get("seed"), out=out, replay=None)
+        drop_indices=tuple(prep["drop_indices"]), out=out, replay=None)
 
 
 def cmd_test(args) -> int:
     if args.replay:
-        loaded = _load_json(args.replay)
-        manifest = loaded.get("manifest", loaded)
+        manifest = _load_manifest(args.replay)
         args = _args_from_test_manifest(manifest, args.out)
     else:
         manifest = _test_manifest(args)
@@ -207,8 +206,7 @@ def cmd_test(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.replay:
-        loaded = _load_json(args.replay)
-        manifest = loaded.get("manifest", loaded)
+        manifest = _load_manifest(args.replay)
         spec = SimSpec.from_config(manifest["simspec_config"])
     else:
         with open(args.config) as fh:
@@ -234,14 +232,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_tables(args) -> int:
     if args.replay:
-        loaded = _load_json(args.replay)
-        raw = loaded.get("grid", loaded.get("manifest", {}).get("grid"))
+        manifest = _load_manifest(args.replay)
+        raw = manifest.get("grid")
         if raw is None:
             raise DataError(f"{args.replay} does not contain a grid record")
-        kwargs = {k: tuple(v) if isinstance(v, list) else v
-                  for k, v in raw.items()}
-        grid = ExperimentGrid(**kwargs)
-        timestamp = loaded.get("timestamp", _utc_stamp())
+        grid = ExperimentGrid(**raw)
+        timestamp = manifest.get("timestamp", _utc_stamp())
     else:
         with open(args.config) as fh:
             grid = ExperimentGrid.from_config(fh.read())
@@ -310,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--drop-indices", type=_parse_drop, default=(),
                         metavar="I,J,...",
                         help="drop curves by 1-based index before --keep")
-    p_test.add_argument("--seed", type=int, default=None)
     p_test.add_argument("--out", default=None, help="JSON report path")
     p_test.add_argument("--replay", default=None, metavar="REPORT.JSON",
                         help="re-run a previous report's manifest")

@@ -14,7 +14,7 @@ weighted bridge supremum V_n restricted to I_n = [h_n, 1-h_n].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +49,7 @@ class TestConfig:
         if self.critical_method not in ("vostrikova", "gumbel"):
             raise ValueError(
                 f"unknown critical_method {self.critical_method!r}")
+        LagWindowKernel.from_name(self.lag_kernel)  # raises on unknown names
         if self.d > self.fourier_size:
             raise ValueError("d cannot exceed the working basis size")
 
@@ -103,50 +104,8 @@ class TestResult:
     k_hat_fully_functional: int
     degenerate: bool
 
-    def to_json_dict(self, provenance: dict | None = None) -> dict:
-        out = {
-            "n": self.n,
-            "d": self.d,
-            "h": self.h,
-            "lag_kernel": self.lag_kernel,
-            "alpha": self.alpha,
-            "critical_method": self.critical_method,
-            "statistic": self.statistic,
-            "normalized": self.normalized,
-            "p_gumbel": self.p_gumbel,
-            "p_vostrikova": self.p_vostrikova,
-            "critical_value": self.critical_value,
-            "reject": self.reject,
-            "k_hat_standardized": self.k_hat_standardized,
-            "k_hat_unstandardized": self.k_hat_unstandardized,
-            "k_hat_fully_functional": self.k_hat_fully_functional,
-            "degenerate": self.degenerate,
-        }
-        if provenance is not None:
-            out["provenance"] = provenance
-        return out
-
-    CSV_HEADER = ("n,d,h,lag_kernel,alpha,critical_method,statistic,"
-                  "normalized,p_gumbel,p_vostrikova,critical_value,reject,"
-                  "k_hat_standardized,k_hat_unstandardized,"
-                  "k_hat_fully_functional,degenerate")
-
-    def csv_row(self) -> str:
-        vals = [self.n, self.d, self.h, self.lag_kernel, self.alpha,
-                self.critical_method, self.statistic, self.normalized,
-                self.p_gumbel, self.p_vostrikova, self.critical_value,
-                self.reject, self.k_hat_standardized,
-                self.k_hat_unstandardized, self.k_hat_fully_functional,
-                self.degenerate]
-        return ",".join(_csv_cell(v) for v in vals)
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    def to_json_dict(self) -> dict:
+        return asdict(self)
 
 
 def scores(sample: FunctionalSample, est: LrCovEstimate, d: int) -> ScoreMatrix:

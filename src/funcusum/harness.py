@@ -14,20 +14,13 @@ import itertools
 import math
 import statistics
 import time
-from dataclasses import dataclass, fields
-from typing import Callable
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .cusum import TestConfig, run_test
-from .simulate import Far1Simulator, SimSpec, calibrate_kernel, make_change
-
-_LIST_KEYS = {"n": int, "psi": float, "kernel": str, "h": float, "d": int,
-              "alternative": None}
-_SCALAR_KEYS = {"replications": int, "alpha": float, "seed": int,
-                "theta": float, "change_shape": str,
-                "change_amplitude": float, "lag_kernel": str,
-                "critical_method": str, "burn_in": int, "grid_points": int,
-                "basis_size": int, "basis_order": int, "fourier_size": int}
+from .simulate import (Far1Simulator, SimSpec, calibrate_kernel, make_change,
+                       parse_key_values)
 
 
 def _parse_bool(text: str) -> bool:
@@ -81,49 +74,26 @@ class ExperimentGrid:
                 for i, (n, kern, psi, h, d, alt) in enumerate(combos)]
 
     def to_config(self) -> str:
-        def join(values):
-            return ", ".join(_config_cell(v) for v in values)
-        lines = [
-            f"n = {join(self.n_values)}",
-            f"kernel = {join(self.kernels)}",
-            f"psi = {join(self.psi_values)}",
-            f"h = {join(self.h_values)}",
-            f"d = {join(self.d_values)}",
-            f"alternative = {join(self.alternatives)}",
-        ]
-        for key, _ in _SCALAR_KEYS.items():
-            lines.append(f"{key} = {_config_cell(getattr(self, _FIELD_BY_KEY[key]))}")
+        lines = []
+        for key, (name, axis, _) in _CONFIG_KEYS.items():
+            value = getattr(self, name)
+            text = (", ".join(_config_cell(v) for v in value) if axis
+                    else _config_cell(value))
+            lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_config(cls, text: str) -> "ExperimentGrid":
-        raw: dict[str, str] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'key = value'")
-            key, value = (p.strip() for p in line.split("=", 1))
-            if key in raw:
-                raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            raw[key] = value
-        unknown = set(raw) - set(_LIST_KEYS) - set(_SCALAR_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raw = parse_key_values(text, _CONFIG_KEYS)
         kwargs: dict = {}
-        for key, conv in _LIST_KEYS.items():
+        for key, (name, axis, conv) in _CONFIG_KEYS.items():
             if key not in raw:
                 continue
-            parts = [p.strip() for p in raw[key].split(",") if p.strip()]
-            if conv is None:
-                kwargs[_FIELD_BY_KEY[key]] = tuple(_parse_bool(p) for p in parts)
+            if axis:
+                parts = [p.strip() for p in raw[key].split(",") if p.strip()]
+                kwargs[name] = tuple(conv(p) for p in parts)
             else:
-                kwargs[_FIELD_BY_KEY[key]] = tuple(conv(p) for p in parts)
-        for key, conv in _SCALAR_KEYS.items():
-            if key not in raw:
-                continue
-            kwargs[_FIELD_BY_KEY[key]] = conv(raw[key])
+                kwargs[name] = conv(raw[key])
         return cls(**kwargs)
 
 
@@ -135,16 +105,25 @@ def _config_cell(v) -> str:
     return str(v)
 
 
-_FIELD_BY_KEY = {
-    "n": "n_values", "psi": "psi_values", "kernel": "kernels",
-    "h": "h_values", "d": "d_values", "alternative": "alternatives",
-    "replications": "replications", "alpha": "alpha", "seed": "seed",
-    "theta": "theta", "change_shape": "change_shape",
-    "change_amplitude": "change_amplitude", "lag_kernel": "lag_kernel",
-    "critical_method": "critical_method", "burn_in": "burn_in",
-    "grid_points": "grid_points", "basis_size": "basis_size",
-    "basis_order": "basis_order", "fourier_size": "fourier_size",
-}
+def _config_keys() -> dict[str, tuple[str, bool, Callable[[str], object]]]:
+    """Config key -> (ExperimentGrid field, is an axis, value parser).
+
+    An axis field holds a tuple and its key is the singular of the field
+    name (`n_values` -> `n`, `kernels` -> `kernel`); every other key is the
+    field name itself.
+    """
+    hints = get_type_hints(ExperimentGrid)
+    out = {}
+    for f in fields(ExperimentGrid):
+        hint = hints[f.name]
+        axis = get_origin(hint) is tuple
+        key = f.name.removesuffix("_values").removesuffix("s") if axis else f.name
+        kind = get_args(hint)[0] if axis else hint
+        out[key] = (f.name, axis, _parse_bool if kind is bool else kind)
+    return out
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 @dataclass(frozen=True)
@@ -291,12 +270,8 @@ def grid_sidecar(grid: ExperimentGrid, results: list[CellResult]) -> dict:
         "replications_per_cell": grid.replications,
         "total_replications": sum(r.completed for r in results),
         "expected_replications": len(results) * grid.replications,
-        "failed_cells": [
-            {"index": r.coords.index, "n": r.coords.n,
-             "kernel": r.coords.kernel, "psi": r.coords.psi,
-             "h": r.coords.h, "d": r.coords.d,
-             "alternative": r.coords.alternative, "error": r.error}
-            for r in results if r.error is not None],
+        "failed_cells": [{**asdict(r.coords), "error": r.error}
+                         for r in results if r.error is not None],
         "timing_seconds": [round(r.seconds, 3) for r in results],
     }
 

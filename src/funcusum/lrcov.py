@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, Curve, FunctionalSample, bspline_basis, fourier_basis
+from .basis import Basis, Curve, FunctionalSample
 
 
 def _plain(x: np.ndarray) -> np.ndarray:
@@ -117,24 +117,6 @@ def _abs_sorted_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return avals, vecs
 
 
-def eigen_decompose(c: np.ndarray, basis: Basis) -> tuple[np.ndarray, tuple[Curve, ...]]:
-    """Symmetric eigendecomposition with the absolute-value convention.
-
-    Eigenvalues come back nonnegative and descending; ties in |lambda| keep
-    the pre-sort order.  Eigenfunctions are unit-norm Curves with the
-    largest-magnitude coefficient made positive.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("expected a square matrix")
-    if c.shape[0] != basis.size:
-        raise ValueError("matrix size does not match basis size")
-    if np.max(np.abs(c - c.T)) > 1e-8:
-        raise ValueError("matrix is not symmetric within 1e-8")
-    vals, vecs = _abs_sorted_eigh(0.5 * (c + c.T))
-    return vals, tuple(Curve(vecs[:, j], basis) for j in range(basis.size))
-
-
 @dataclass(frozen=True)
 class LrCovEstimate:
     """Long-run covariance matrix with its (abs-convention) eigenstructure."""
@@ -145,43 +127,13 @@ class LrCovEstimate:
     basis: Basis
     h: float
     kernel_kind: str
-    d_max: int
 
     def eigenfunction(self, j: int) -> Curve:
         return Curve(self.eigvecs[:, j], self.basis)
 
-    @property
-    def eigfuns(self) -> tuple[Curve, ...]:
-        return tuple(self.eigenfunction(j) for j in range(self.basis.size))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": {"kind": self.basis.kind, "size": self.basis.size,
-                      "order": self.basis.order},
-            "cov": self.cov.tolist(),
-            "eigvals": self.eigvals.tolist(),
-            "eigvecs": self.eigvecs.tolist(),
-            "h": self.h,
-            "lag_kernel": self.kernel_kind,
-            "d_max": self.d_max,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LrCovEstimate":
-        spec = data["basis"]
-        if spec["kind"] == "fourier":
-            basis = fourier_basis(spec["size"])
-        else:
-            basis = bspline_basis(spec["size"], spec["order"])
-        return cls(cov=np.asarray(data["cov"]),
-                   eigvals=np.asarray(data["eigvals"]),
-                   eigvecs=np.asarray(data["eigvecs"]),
-                   basis=basis, h=data["h"], kernel_kind=data["lag_kernel"],
-                   d_max=data["d_max"])
-
 
 def lrcov_estimate(sample: FunctionalSample, kernel: LagWindowKernel,
-                   h: float, d_max: int | None = None) -> LrCovEstimate:
+                   h: float) -> LrCovEstimate:
     """Lag-window long-run covariance estimate with eigenstructure.
 
     h = 0 is the no-correction convention: C equals the lag-0 covariance.
@@ -205,10 +157,5 @@ def lrcov_estimate(sample: FunctionalSample, kernel: LagWindowKernel,
             c = c + w * (cr + cr.T)
     c = 0.5 * (c + c.T)
     vals, vecs = _abs_sorted_eigh(c)
-    j = sample.basis.size
-    if d_max is None:
-        d_max = j
-    if not 1 <= d_max <= j:
-        raise ValueError(f"need 1 <= d_max <= {j}, got {d_max}")
     return LrCovEstimate(cov=c, eigvals=vals, eigvecs=vecs, basis=sample.basis,
-                         h=float(h), kernel_kind=kernel.kind, d_max=d_max)
+                         h=float(h), kernel_kind=kernel.kind)

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .basis import (Basis, Curve, FunctionalSample, Grid, bspline_basis,
-                    fit_curve)
+from .basis import Curve, FunctionalSample, Grid, bspline_basis, fit_curve
 
 _CHANGE_SHAPES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sin": np.sin,
@@ -77,13 +76,6 @@ def calibrate_kernel(kind: str, psi: float,
                           custom=custom)
 
 
-def integral_transform(kernel: IntegralKernel, y: Curve, grid: Grid) -> Curve:
-    """Apply z(t) = integral Psi(t, s) y(s) ds by quadrature on `grid`."""
-    k_mat = kernel.values(grid.points, grid.points)
-    z_vals = k_mat @ (grid.trapezoid_weights * y(grid.points))
-    return fit_curve(z_vals, grid, y.basis)
-
-
 def brownian_bridge_values(grid: Grid, rng: np.random.Generator,
                            size: int = 1) -> np.ndarray:
     """Brownian bridge paths at grid points, exact finite-dimensional law.
@@ -99,12 +91,6 @@ def brownian_bridge_values(grid: Grid, rng: np.random.Generator,
     out[:, 1:] = w
     out -= pts[None, :] * out[:, -1:]
     return out
-
-
-def brownian_bridge_curve(grid: Grid, basis: Basis,
-                          rng: np.random.Generator) -> Curve:
-    """One Brownian bridge sampled on `grid` and smoothed into `basis`."""
-    return fit_curve(brownian_bridge_values(grid, rng)[0], grid, basis)
 
 
 @dataclass(frozen=True)
@@ -168,23 +154,10 @@ class SimSpec:
     @classmethod
     def from_config(cls, text: str) -> "SimSpec":
         """Parse config text written by to_config (or by hand)."""
-        fields: dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in fields:
-                raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            fields[key] = value
-        known = {"n", "kernel", "psi", "burn_in", "seed", "grid_points",
-                 "basis_size", "basis_order", "change_shape", "change_theta",
-                 "change_amplitude"}
-        unknown = set(fields) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        fields = parse_key_values(text, (
+            "n", "kernel", "psi", "burn_in", "seed", "grid_points",
+            "basis_size", "basis_order", "change_shape", "change_theta",
+            "change_amplitude"))
         for req in ("n", "kernel", "psi"):
             if req not in fields:
                 raise ValueError(f"missing required config key {req!r}")
@@ -209,6 +182,29 @@ class SimSpec:
         return cls(n=n, kernel=kernel, change=change, burn_in=burn_in,
                    seed=seed, grid_points=grid_points, basis_size=basis_size,
                    basis_order=basis_order)
+
+
+def parse_key_values(text: str, known: Iterable[str]) -> dict[str, str]:
+    """Split config text into `key = value` pairs.
+
+    `#` starts a comment and blank lines are skipped.  A line without `=`,
+    a repeated key or a key outside `known` raises ValueError.
+    """
+    pairs: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        pairs[key] = value
+    unknown = set(pairs) - set(known)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return pairs
 
 
 def _seed_str(seed: int | tuple[int, ...]) -> str:
@@ -285,8 +281,3 @@ class Far1Simulator:
             coeffs[kstar:] += self._delta_coeffs
         return FunctionalSample(coeffs, self.basis)
 
-
-def far1_generate(spec: SimSpec,
-                  seed: int | tuple[int, ...] | None = None) -> FunctionalSample:
-    """Generate one functional AR(1) sample (convenience wrapper)."""
-    return Far1Simulator(spec).generate(seed)

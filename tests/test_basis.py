@@ -318,7 +318,22 @@ class TestCurveCSV:
     def test_non_numeric_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t=0.0,t=1.0\noops,2.0\n")
-        with pytest.raises(CurveCSVError, match="line 2"):
+        with pytest.raises(CurveCSVError, match="line 2: .*column 1"):
+            read_curves_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_reports_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t=0.0,t=0.5,t=1.0\n1,2,3\n\n4,5,{cell}\n")
+        with pytest.raises(CurveCSVError, match="line 4: non-finite value in column 3"):
+            read_curves_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_abscissa_reports_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t=0.0,t=0.5,t={cell}\n1,2,3\n")
+        with pytest.raises(CurveCSVError,
+                           match="line 1: non-finite abscissa in column 3"):
             read_curves_csv(path)
 
     def test_empty_file(self, tmp_path):

@@ -136,6 +136,35 @@ class TestCmdTest:
         err = capsys.readouterr().err
         assert "input error" in err and "curve 4" in err
 
+    def test_replay_of_report_with_seed_key(self, tmp_path, capsys):
+        # Reports from before `test --seed` was removed carry "seed": null
+        # in their manifest; replay copies the manifest through unchanged.
+        path = tmp_path / "noise.csv"
+        write_noise_csv(path)
+        report = tmp_path / "report.json"
+        assert main(["test", str(path), "--d", "1", "--h", "1",
+                     "--out", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert "seed" not in data["manifest"]
+        data["manifest"]["seed"] = None
+        with open(report, "w") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        replayed = tmp_path / "replayed.json"
+        assert main(["test", "--replay", str(report),
+                     "--out", str(replayed)]) == 0
+        capsys.readouterr()
+        assert replayed.read_bytes() == report.read_bytes()
+
+    def test_non_finite_csv_value_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        values = np.ones((20, 30))
+        values[4, 6] = np.nan
+        write_curves_csv(path, values, Grid.uniform(30))
+        assert main(["test", str(path), "--d", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "input error: line 6: non-finite value in column 7" in err
+
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.csv"
         path.write_text("t=0.0,t=1.0\n1.0\n")
@@ -294,6 +323,16 @@ class TestCmdTables:
         sidecar = json.loads((tmp_path / "cells.csv.manifest.json").read_text())
         assert sidecar["cells"] == 400
         assert sidecar["total_replications"] == 400
+
+    def test_unknown_lag_kernel_exit_2_before_any_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG + "lag_kernel = foo\n")
+        out = tmp_path / "cells.csv"
+        assert main(["tables", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error: unknown lag kernel 'foo'" in err
+        assert "cell 0" not in err
+        assert not out.exists()
 
     def test_bad_grid_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"

@@ -1,5 +1,6 @@
 """Weighted CUSUM statistic, limit-law calibration, change locators."""
 
+import dataclasses
 import json
 import math
 
@@ -39,7 +40,7 @@ def identity_estimate(basis):
     """LrCovEstimate whose eigenfunctions are the basis itself."""
     j = basis.size
     return LrCovEstimate(cov=np.eye(j), eigvals=np.ones(j), eigvecs=np.eye(j),
-                         basis=basis, h=0.0, kernel_kind="plain", d_max=j)
+                         basis=basis, h=0.0, kernel_kind="plain")
 
 
 def naive_scores(sample, est, d):
@@ -375,7 +376,7 @@ class TestRunTest:
         flipped = LrCovEstimate(cov=est.cov, eigvals=est.eigvals,
                                 eigvecs=est.eigvecs * np.array([-1, 1, -1, 1, 1, -1]),
                                 basis=est.basis, h=est.h,
-                                kernel_kind=est.kernel_kind, d_max=est.d_max)
+                                kernel_kind=est.kernel_kind)
         assert statistic(scores(s, est, 3), 40) == statistic(scores(s, flipped, 3), 40)
 
     def test_scale_invariance_of_standardized_statistic(self):
@@ -449,23 +450,23 @@ class TestRunTest:
             Config(critical_method="bootstrap")
         with pytest.raises(ValueError, match="basis size"):
             Config(d=30, fourier_size=25)
+        with pytest.raises(ValueError, match="unknown lag kernel"):
+            Config(lag_kernel="foo")
 
     def test_needs_three_curves(self):
         s = FunctionalSample(np.zeros((2, 3)), fourier_basis(3))
         with pytest.raises(ValueError, match="three"):
             run_test(s, Config(d=1))
 
-    def test_json_and_csv_serialization(self):
+    def test_json_serialization(self):
         rng = np.random.default_rng(29)
         s = FunctionalSample(rng.normal(size=(50, 4)), fourier_basis(4))
         res = run_test(s, Config(d=2, h=2.0))
-        data = json.loads(json.dumps(res.to_json_dict(provenance={"src": "x"})))
-        assert data["n"] == 50 and data["provenance"] == {"src": "x"}
-        assert data["statistic"] == res.statistic
-        row = res.csv_row()
-        header_fields = Result.CSV_HEADER.split(",")
-        assert len(row.split(",")) == len(header_fields) == 16
-        assert row.split(",")[header_fields.index("reject")] in ("true", "false")
+        data = json.loads(json.dumps(res.to_json_dict()))
+        assert list(data) == [f.name for f in dataclasses.fields(Result)]
+        assert data["n"] == 50 and data["statistic"] == res.statistic
+        assert data["reject"] is res.reject
+        assert Result(**data) == res
 
     def test_degenerate_sample_flagged(self):
         s = FunctionalSample(np.ones((10, 3)), fourier_basis(3))

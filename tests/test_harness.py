@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcusum.harness import (
     CSV_COLUMNS,
@@ -17,6 +19,29 @@ from funcusum.harness import (
     run_cell,
     run_grid,
 )
+from funcusum.simulate import SimSpec
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def axis(elements):
+    return st.lists(elements, min_size=1, max_size=4).map(tuple)
+
+
+GRIDS = st.builds(
+    ExperimentGrid,
+    n_values=axis(st.integers(2, 10_000)), psi_values=axis(FINITE),
+    kernels=axis(st.sampled_from(["gaussian", "wiener"])),
+    h_values=axis(FINITE), d_values=axis(st.integers(1, 30)),
+    alternatives=axis(st.booleans()), replications=st.integers(1, 10**6),
+    alpha=FINITE, seed=st.integers(0, 2**63), theta=FINITE,
+    change_shape=st.sampled_from(["sin", "constant"]),
+    change_amplitude=FINITE,
+    lag_kernel=st.sampled_from(["plain", "bartlett", "parzen", "flattop"]),
+    critical_method=st.sampled_from(["vostrikova", "gumbel"]),
+    burn_in=st.integers(0, 1000), grid_points=st.integers(2, 500),
+    basis_size=st.integers(1, 50), basis_order=st.integers(1, 6),
+    fourier_size=st.integers(1, 50))
 
 FROZEN_TIMER = lambda: 0.0
 
@@ -47,6 +72,11 @@ class TestExperimentGrid:
                            critical_method="gumbel", burn_in=50)
         assert ExperimentGrid.from_config(g.to_config()) == g
 
+    @given(GRIDS)
+    @settings(max_examples=200, deadline=None)
+    def test_config_round_trip_property(self, grid):
+        assert ExperimentGrid.from_config(grid.to_config()) == grid
+
     def test_from_config_partial_keeps_defaults(self):
         g = ExperimentGrid.from_config("n = 30, 40\npsi = 0.5\n")
         assert g.n_values == (30, 40) and g.psi_values == (0.5,)
@@ -61,6 +91,17 @@ class TestExperimentGrid:
             ExperimentGrid.from_config("just words\n")
         with pytest.raises(ValueError, match="boolean"):
             ExperimentGrid.from_config("alternative = maybe\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("n = 30\nnot a setting\n", "line 2: expected 'key = value'"),
+        ("n = 30\nn = 40\n", "line 2: duplicate key 'n'"),
+        ("n = 30\nbanana = 3\n", "unknown config keys: ['banana']"),
+    ])
+    def test_config_errors_match_simspec(self, text, message):
+        for parse in (ExperimentGrid.from_config, SimSpec.from_config):
+            with pytest.raises(ValueError) as exc:
+                parse(text)
+            assert str(exc.value) == message
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

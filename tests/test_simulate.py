@@ -7,19 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcusum.basis import Curve, Grid, bspline_basis, fourier_basis
+from funcusum.basis import Curve, Grid, bspline_basis, fit_sample, fourier_basis
 from funcusum.simulate import (
     ChangeSpec,
     Far1Simulator,
     IntegralKernel,
     SimSpec,
-    brownian_bridge_curve,
     brownian_bridge_values,
     calibrate_kernel,
-    far1_generate,
-    integral_transform,
     make_change,
 )
+
+
+def ar_step(kernel, basis_size):
+    """The simulator's AR operator y -> integral Psi(., s) y(s) ds, applied
+    in coefficient space on its 96-point grid and cubic B-spline basis."""
+    sim = Far1Simulator(SimSpec(n=2, kernel=kernel, basis_size=basis_size))
+    return lambda y: Curve(sim._step @ y.coeffs, y.basis)
 
 
 def mean_scores(sample):
@@ -47,10 +51,16 @@ class TestBrownianBridge:
         assert cov == pytest.approx(0.25 * (1 - 0.75), abs=0.01)  # min(s,t)-st
 
     def test_smoothed_curve_in_basis(self):
-        g = Grid.uniform(96)
-        b = bspline_basis(25)
-        c = brownian_bridge_curve(g, b, np.random.default_rng(3))
-        assert c.basis is b and c.coeffs.shape == (25,)
+        # With psi = 0 and no burn-in the simulator emits its shocks: bridges
+        # drawn from the seed's stream and smoothed into the working basis.
+        spec = SimSpec(n=5, kernel=calibrate_kernel("wiener", 0.0),
+                       burn_in=0, seed=3)
+        sim = Far1Simulator(spec)
+        shocks = brownian_bridge_values(sim.grid, np.random.default_rng(3), 5)
+        expected = fit_sample(shocks, sim.grid, sim.basis).coeffs
+        sample = sim.generate()
+        assert sample.basis == bspline_basis(25) and sample.coeffs.shape == (5, 25)
+        assert np.max(np.abs(sample.coeffs - expected)) <= 1e-10
 
 
 class TestCalibrateKernel:
@@ -96,18 +106,16 @@ class TestCalibrateKernel:
 
 class TestIntegralTransform:
     def test_zero_curve_maps_to_zero(self):
-        g = Grid.uniform(96)
         b = bspline_basis(25)
         k = calibrate_kernel("wiener", 0.7)
-        out = integral_transform(k, Curve(np.zeros(25), b), g)
+        out = ar_step(k, 25)(Curve(np.zeros(25), b))
         assert np.max(np.abs(out.coeffs)) <= 1e-12
 
     def test_zero_scale_annihilates(self):
-        g = Grid.uniform(96)
         b = bspline_basis(25)
         k = calibrate_kernel("gaussian", 0.0)
         y = Curve(np.random.default_rng(0).normal(size=25), b)
-        out = integral_transform(k, y, g)
+        out = ar_step(k, 25)(y)
         assert np.max(np.abs(out.coeffs)) <= 1e-12
 
     def test_wiener_on_constant_matches_antiderivative(self):
@@ -116,7 +124,7 @@ class TestIntegralTransform:
         b = bspline_basis(25)
         k = calibrate_kernel("wiener", 0.6)
         one = Curve(np.ones(25), b)  # partition of unity
-        out = integral_transform(k, one, g)
+        out = ar_step(k, 25)(one)
         expected = k.scale * (g.points - g.points**2 / 2.0)
         assert np.max(np.abs(out(g.points) - expected)) <= 1e-4
 
@@ -125,11 +133,10 @@ class TestIntegralTransform:
            st.sampled_from(["gaussian", "wiener"]))
     @settings(max_examples=30, deadline=None)
     def test_contraction_bound(self, seed, psi, kind):
-        g = Grid.uniform(96)
         b = bspline_basis(12)
         k = calibrate_kernel(kind, psi)
         y = Curve(np.random.default_rng(seed).normal(size=12), b)
-        out = integral_transform(k, y, g)
+        out = ar_step(k, 12)(y)
         assert out.norm() <= psi * y.norm() + 1e-3
 
 
@@ -154,8 +161,8 @@ class TestChangeSpec:
 class TestFar1Generate:
     def test_deterministic_under_seed(self):
         spec = SimSpec(n=40, kernel=calibrate_kernel("wiener", 0.5), seed=11)
-        a = far1_generate(spec)
-        b = far1_generate(spec)
+        a = Far1Simulator(spec).generate()
+        b = Far1Simulator(spec).generate()
         assert np.array_equal(a.coeffs, b.coeffs)
         c = Far1Simulator(spec).generate(seed=12)
         assert not np.array_equal(a.coeffs, c.coeffs)
@@ -163,13 +170,13 @@ class TestFar1Generate:
     def test_psi_zero_iid_scores(self):
         spec = SimSpec(n=2000, kernel=calibrate_kernel("wiener", 0.0),
                        burn_in=10, seed=21)
-        x = mean_scores(far1_generate(spec))
+        x = mean_scores(Far1Simulator(spec).generate())
         rho = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(rho) <= 0.05
 
     def test_strong_dependence_positive_lag_one(self):
         spec = SimSpec(n=2000, kernel=calibrate_kernel("wiener", 0.8), seed=22)
-        x = mean_scores(far1_generate(spec))
+        x = mean_scores(Far1Simulator(spec).generate())
         rho = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert rho > 0.2
 
@@ -188,8 +195,8 @@ class TestFar1Generate:
         kernel = calibrate_kernel("wiener", 0.0)
         change = make_change("constant", 0.3, amplitude=100.0)
         spec = SimSpec(n=10, kernel=kernel, change=change, seed=5)
-        with_change = far1_generate(spec)
-        without = far1_generate(SimSpec(n=10, kernel=kernel, seed=5))
+        with_change = Far1Simulator(spec).generate()
+        without = Far1Simulator(SimSpec(n=10, kernel=kernel, seed=5)).generate()
         moved = np.abs(with_change.coeffs - without.coeffs).max(axis=1) > 1.0
         assert list(moved) == [False] * 3 + [True] * 7  # floor(10 * 0.3) = 3
 
@@ -231,6 +238,34 @@ class TestConfigRoundTrip:
         assert back.change.shape == "sin"
         assert back.change.theta == 0.4 and back.change.amplitude == 1.5
         assert np.allclose(back.change.delta.coeffs, spec.change.delta.coeffs)
+
+    @given(st.integers(2, 10_000), st.sampled_from(["gaussian", "wiener"]),
+           st.floats(0.0, 0.999), st.integers(0, 500),
+           st.one_of(st.integers(0, 2**63),
+                     st.lists(st.integers(0, 2**32), min_size=2,
+                              max_size=4).map(tuple)),
+           st.integers(16, 64), st.integers(4, 12), st.sampled_from([3, 4]),
+           st.one_of(st.none(),
+                     st.tuples(st.sampled_from(["sin", "constant"]),
+                               st.floats(0.01, 0.99), st.floats(-5.0, 5.0))))
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_property(self, n, kind, psi, burn_in, seed,
+                                 grid_points, basis_size, basis_order, change):
+        if change is not None:
+            shape, theta, amplitude = change
+            change = make_change(shape, theta, amplitude,
+                                 grid_points=grid_points,
+                                 basis_size=basis_size,
+                                 basis_order=basis_order)
+        spec = SimSpec(n=n, kernel=calibrate_kernel(kind, psi), change=change,
+                       burn_in=burn_in, seed=seed, grid_points=grid_points,
+                       basis_size=basis_size, basis_order=basis_order)
+        back = SimSpec.from_config(spec.to_config())
+        assert back.to_config() == spec.to_config()
+        assert back.kernel == spec.kernel and back.seed == seed
+        if change is not None:
+            assert np.array_equal(back.change.delta.coeffs,
+                                  spec.change.delta.coeffs)
 
     def test_no_change_round_trip(self):
         spec = SimSpec(n=50, kernel=calibrate_kernel("gaussian", 0.3))
