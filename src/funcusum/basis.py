@@ -301,37 +301,20 @@ def fit_sample(values: np.ndarray, grid: Grid, basis: Basis) -> FunctionalSample
     return FunctionalSample(_fit_matrix(values, grid, basis), basis)
 
 
-def basis_transform_matrix(source: Basis, target: Basis, grid: Grid) -> np.ndarray:
-    """Matrix M with target_coeffs = source_coeffs @ M.T.
-
-    Source curves are evaluated on `grid` and refit into `target` by least
-    squares, so M = pinv(E_target) E_source for the two design matrices.
-    """
-    if len(grid) < target.size:
-        raise SingularFitError(
-            f"conversion grid of {len(grid)} points cannot resolve "
-            f"basis of size {target.size}")
-    e_src = source.evaluate(grid.points)
-    e_tgt = target.evaluate(grid.points)
-    m, _, rank, _ = np.linalg.lstsq(e_tgt, e_src, rcond=None)
-    if rank < target.size:
-        raise SingularFitError(
-            f"conversion design matrix rank {rank} < basis size {target.size}")
-    return m
-
-
 def change_basis(sample: FunctionalSample, target: Basis,
                  grid: Grid | None = None) -> FunctionalSample:
     """Re-express a sample in `target` by evaluate-then-refit on `grid`.
 
-    Defaults to a uniform grid fine enough for the larger of the two bases.
+    Each source basis function is fit into `target` once; row j of the fit
+    holds the target coefficients of source function j.  Defaults to a
+    uniform grid fine enough for the larger of the two bases.
     """
     if sample.basis == target:
         return sample
     if grid is None:
         grid = Grid.uniform(max(201, 4 * max(sample.basis.size, target.size) + 1))
-    m = basis_transform_matrix(sample.basis, target, grid)
-    return FunctionalSample(sample.coeffs @ m.T, target)
+    fit = _fit_matrix(sample.basis.evaluate(grid.points).T, grid, target)
+    return FunctionalSample(sample.coeffs @ fit, target)
 
 
 class CurveMatrix(NamedTuple):

@@ -50,7 +50,11 @@ def _load_manifest(path: str) -> dict:
     "manifest", a simulate or tables sidecar is the manifest itself."""
     with open(path) as fh:
         loaded = json.load(fh)
-    return loaded.get("manifest", loaded)
+    if isinstance(loaded, dict):
+        loaded = loaded.get("manifest", loaded)
+    if not isinstance(loaded, dict):
+        raise DataError(f"{path}: the manifest is not a JSON object")
+    return loaded
 
 
 def _parse_keep(text: str) -> tuple[int, int]:
@@ -151,39 +155,26 @@ def _test_manifest(args) -> dict:
     }
 
 
-def _args_from_test_manifest(manifest: dict, out: str | None) -> argparse.Namespace:
-    prep = manifest["preprocess"]
-    cfg = manifest["test_config"]
-    return argparse.Namespace(
-        input=manifest["input"],
-        d=cfg["d"], h=cfg["h"], lag_kernel=cfg["lag_kernel"],
-        alpha=cfg["alpha"], critical=cfg["critical_method"],
-        basis_smooth=(prep["basis_smooth"]["size"],
-                      prep["basis_smooth"]["order"]),
-        fourier=prep["fourier"], log_ratio=prep["log_ratio"],
-        keep=tuple(prep["keep"]) if prep["keep"] else None,
-        drop_indices=tuple(prep["drop_indices"]), out=out, replay=None)
-
-
 def cmd_test(args) -> int:
-    if args.replay:
-        manifest = _load_manifest(args.replay)
-        args = _args_from_test_manifest(manifest, args.out)
-    else:
-        manifest = _test_manifest(args)
-    data = read_curves_csv(args.input)
-    manifest["preprocess"]["rescaled_grid"] = data.rescaled
-    values = preprocess(data.values, drop=args.drop_indices, keep=args.keep,
-                        log_ratio=args.log_ratio)
-    size, order = args.basis_smooth
+    # A fresh run and a replay both run from the manifest, so they cannot
+    # read the settings differently.
+    manifest = (_load_manifest(args.replay) if args.replay
+                else _test_manifest(args))
+    prep = manifest["preprocess"]
+    data = read_curves_csv(manifest["input"])
+    prep["rescaled_grid"] = data.rescaled
+    values = preprocess(data.values, drop=prep["drop_indices"],
+                        keep=prep["keep"], log_ratio=prep["log_ratio"])
+    size, order = prep["basis_smooth"]["size"], prep["basis_smooth"]["order"]
     if len(data.grid) < size:
         raise DataError(
             f"curves have {len(data.grid)} samples, fewer than the "
             f"smoothing basis size {size}")
     sample = fit_sample(values, data.grid, bspline_basis(size, order))
-    cfg = TestConfig(d=args.d, h=args.h, lag_kernel=args.lag_kernel,
-                     alpha=args.alpha, critical_method=args.critical,
-                     fourier_size=args.fourier)
+    tc = manifest["test_config"]
+    cfg = TestConfig(d=tc["d"], h=tc["h"], lag_kernel=tc["lag_kernel"],
+                     alpha=tc["alpha"], critical_method=tc["critical_method"],
+                     fourier_size=prep["fourier"])
     result = run_test(sample, cfg)
     print(f"n = {result.n}  d = {result.d}  h = {result.h:g}  "
           f"lag_kernel = {result.lag_kernel}")
@@ -244,11 +235,12 @@ def cmd_tables(args) -> int:
         if args.seed is not None:
             grid = dataclasses.replace(grid, seed=args.seed)
         timestamp = _utc_stamp()
+    total = len(grid.cells())
 
     def progress(res):
         c = res.coords
         status = "failed" if res.error else f"reject_rate={res.reject_rate:.4f}"
-        print(f"cell {c.index}: n={c.n} kernel={c.kernel} psi={c.psi:g} "
+        print(f"cell {c.index}/{total}: n={c.n} kernel={c.kernel} psi={c.psi:g} "
               f"h={c.h:g} d={c.d} alt={c.alternative} {status} "
               f"({res.seconds:.1f}s)", file=sys.stderr)
 

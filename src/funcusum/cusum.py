@@ -37,9 +37,6 @@ class TestConfig:
     alpha: float = 0.10
     critical_method: str = "vostrikova"
     fourier_size: int = 25
-    conversion_grid_points: int = 201
-    bandwidth_gamma: float = 4.0
-    bandwidth_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -171,25 +168,11 @@ def statistic(sm: ScoreMatrix, n: int, standardized: bool = True,
     return _weighted_max(np.sqrt(sumsq), n)
 
 
-def normalizer_a(t: float) -> float:
-    """a(t) = (2 log t)^(1/2), defined for t > 1."""
-    if t <= 1.0:
-        raise ValueError(f"normalizers need t > 1, got t = {t}")
-    return math.sqrt(2.0 * math.log(t))
-
-
-def normalizer_b(t: float, d: int) -> float:
-    """b_d(t) = 2 log t + (d/2) log log t - log Gamma(d/2), for t > 1."""
-    if t <= 1.0:
-        raise ValueError(f"normalizers need t > 1, got t = {t}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return (2.0 * math.log(t) + 0.5 * d * math.log(math.log(t))
-            - math.lgamma(0.5 * d))
-
-
 def normalizers(n: int, d: int) -> tuple[float, float]:
-    """Darling-Erdos normalizers (a(log n), b_d(log n)).
+    """Darling-Erdos normalizers a(t) and b_d(t) at t = log n:
+
+        a(t) = (2 log t)^(1/2),
+        b_d(t) = 2 log t + (d/2) log log t - log Gamma(d/2).
 
     Requires log log n > 0; the limit is intended for n >= 16 but the
     formulas are evaluated whenever they are defined.
@@ -199,7 +182,12 @@ def normalizers(n: int, d: int) -> tuple[float, float]:
     t = math.log(n)
     if t <= 1.0:
         raise ValueError(f"normalizers need log log n > 0, got n = {n}")
-    return normalizer_a(t), normalizer_b(t, d)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    a = math.sqrt(2.0 * math.log(t))
+    b = (2.0 * math.log(t) + 0.5 * d * math.log(math.log(t))
+         - math.lgamma(0.5 * d))
+    return a, b
 
 
 def gumbel_pvalue(t_stat: float, n: int, d: int) -> float:
@@ -324,7 +312,7 @@ def run_test(sample: FunctionalSample, cfg: TestConfig) -> TestResult:
     """Full pipeline: orthonormalize, estimate long-run FPCs, test, locate.
 
     Samples in a non-orthonormal basis are converted to a Fourier basis of
-    cfg.fourier_size on a uniform grid first.
+    cfg.fourier_size on a uniform 201-point grid first.
     """
     n = len(sample)
     if n < 3:
@@ -333,12 +321,10 @@ def run_test(sample: FunctionalSample, cfg: TestConfig) -> TestResult:
         work = sample
     else:
         work = change_basis(sample, fourier_basis(cfg.fourier_size),
-                            Grid.uniform(cfg.conversion_grid_points))
-    if cfg.d > work.basis.size:
-        raise ValueError("d cannot exceed the working basis size")
+                            Grid.uniform(201))
     h = cfg.h
     if h is None:
-        h = float(default_bandwidth(n, cfg.bandwidth_gamma, cfg.bandwidth_scale))
+        h = float(default_bandwidth(n))
     est = lrcov_estimate(work, LagWindowKernel.from_name(cfg.lag_kernel), h)
     sm = scores(work, est, cfg.d)
     t_stat, k_std = statistic(sm, n, standardized=True)

@@ -154,16 +154,9 @@ class CellResult:
     error: str | None = None
 
 
-def run_cell(coords: CellCoords, replications: int, seed: int,
-             settings: ExperimentGrid,
-             timer: Callable[[], float] = time.perf_counter) -> CellResult:
-    """Run R replications at one coordinate, deterministically seeded.
-
-    Replication r uses the stream (seed, coords.index, r).  A failing
-    replication aborts the cell; its stream tuple is recorded in `error`
-    and the aggregate fields are NaN.
-    """
-    start = timer()
+def _cell_setup(coords: CellCoords,
+                settings: ExperimentGrid) -> tuple[SimSpec, TestConfig]:
+    """SimSpec and TestConfig of one cell; ValueError on any bad setting."""
     change = None
     if coords.alternative:
         change = make_change(settings.change_shape, settings.theta,
@@ -177,15 +170,23 @@ def run_cell(coords: CellCoords, replications: int, seed: int,
                    grid_points=settings.grid_points,
                    basis_size=settings.basis_size,
                    basis_order=settings.basis_order)
-    sim = Far1Simulator(spec)
     cfg = TestConfig(d=coords.d, h=float(coords.h),
                      lag_kernel=settings.lag_kernel, alpha=settings.alpha,
                      critical_method=settings.critical_method,
                      fourier_size=settings.fourier_size)
+    return spec, cfg
+
+
+def _replicate(coords: CellCoords, spec: SimSpec, cfg: TestConfig,
+               settings: ExperimentGrid,
+               timer: Callable[[], float]) -> CellResult:
+    start = timer()
+    sim = Far1Simulator(spec)
+    replications = settings.replications
     rejects = 0
     khats: list[float] = []
     for rep in range(replications):
-        stream = (seed, coords.index, rep)
+        stream = (settings.seed, coords.index, rep)
         try:
             sample = sim.generate(stream)
             res = run_test(sample, cfg)
@@ -207,17 +208,33 @@ def run_cell(coords: CellCoords, replications: int, seed: int,
         seconds=timer() - start)
 
 
+def run_cell(coords: CellCoords, settings: ExperimentGrid,
+             timer: Callable[[], float] = time.perf_counter) -> CellResult:
+    """Run settings.replications replications at one coordinate.
+
+    Replication r uses the stream (settings.seed, coords.index, r).  A
+    failing replication aborts the cell; its stream tuple is recorded in
+    `error` and the aggregate fields are NaN.  A bad cell setting raises
+    ValueError before any replication runs.
+    """
+    return _replicate(coords, *_cell_setup(coords, settings), settings, timer)
+
+
 def run_grid(grid: ExperimentGrid,
              progress: Callable[[CellResult], None] | None = None,
              timer: Callable[[], float] = time.perf_counter,
              ) -> list[CellResult]:
     """Evaluate every cell; failed cells are reported, the run continues.
 
-    Results appear in cell-index order regardless of execution schedule.
+    Every cell is set up before the first one runs, so a bad setting in
+    any cell raises ValueError before any replication has run.  Results
+    appear in cell-index order regardless of execution schedule.
     """
+    cells = grid.cells()
+    setups = [_cell_setup(coords, grid) for coords in cells]
     results = []
-    for coords in grid.cells():
-        res = run_cell(coords, grid.replications, grid.seed, grid, timer)
+    for coords, (spec, cfg) in zip(cells, setups):
+        res = _replicate(coords, spec, cfg, grid, timer)
         results.append(res)
         if progress is not None:
             progress(res)

@@ -4,9 +4,9 @@ In an orthonormal basis the lag-r autocovariance operator of centered
 coefficient vectors a_i is the matrix C_r = (1/n) sum_i a_i a_{i+r}',
 and the long-run covariance estimate is
 
-    C = C_0 + sum_{r=1}^{floor(c h)} K(r/h) (C_r + C_r')
+    C = C_0 + sum_{r=1}^{floor(h)} K(r/h) (C_r + C_r')
 
-for a symmetric lag-window K with support bound c and bandwidth h.
+for a symmetric lag-window K supported on [-1, 1] and bandwidth h.
 Eigenvalues are mapped through absolute value and re-sorted descending
 (together with their eigenfunctions); a deterministic sign convention
 makes the decomposition reproducible.
@@ -55,21 +55,17 @@ _KERNELS = {
 
 @dataclass(frozen=True)
 class LagWindowKernel:
-    """Symmetric, bounded lag window with K(0)=1 and K(x)=0 for |x|>support."""
+    """Symmetric, bounded lag window with K(0)=1 and K(x)=0 for |x|>1."""
 
     kind: str
-    support: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in _KERNELS:
             raise ValueError(
                 f"unknown lag kernel {self.kind!r}; choose from {sorted(_KERNELS)}")
-        if self.support <= 0:
-            raise ValueError("support bound must be positive")
 
     def weight(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) > self.support, 0.0, _KERNELS[self.kind](x))
+        return _KERNELS[self.kind](np.asarray(x, dtype=float))
 
     @classmethod
     def from_name(cls, name: str) -> "LagWindowKernel":
@@ -93,13 +89,11 @@ def lag_cov(sample: FunctionalSample, r: int) -> np.ndarray:
     return a[:n - r].T @ a[r:] / n
 
 
-def default_bandwidth(n: int, gamma: float = 4.0, scale: float = 1.0) -> int:
-    """Rate-rule bandwidth floor(scale * n^(1/gamma)); requires gamma > 3."""
+def default_bandwidth(n: int) -> int:
+    """Rate-rule bandwidth floor(n^(1/4))."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if gamma <= 3.0:
-        raise ValueError(f"rate rule requires gamma > 3, got {gamma}")
-    return math.floor(scale * n ** (1.0 / gamma))
+    return math.floor(n ** (1.0 / 4.0))
 
 
 def _abs_sorted_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +131,8 @@ def lrcov_estimate(sample: FunctionalSample, kernel: LagWindowKernel,
     """Lag-window long-run covariance estimate with eigenstructure.
 
     h = 0 is the no-correction convention: C equals the lag-0 covariance.
-    The lag sum is truncated at floor(support * h) since the window
-    vanishes beyond its support.
+    The lag sum is truncated at floor(h) since the window vanishes beyond
+    [-1, 1].
     """
     _require_orthonormal(sample)
     n = len(sample)
@@ -148,7 +142,7 @@ def lrcov_estimate(sample: FunctionalSample, kernel: LagWindowKernel,
         raise ValueError(f"bandwidth must be nonnegative, got {h}")
     c = lag_cov(sample, 0)
     if h > 0:
-        max_lag = min(math.floor(kernel.support * h), n - 1)
+        max_lag = min(math.floor(h), n - 1)
         for r in range(1, max_lag + 1):
             w = float(kernel.weight(np.asarray(r / h)))
             if w == 0.0:

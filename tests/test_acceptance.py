@@ -53,7 +53,7 @@ REFERENCE_SIZE_WIENER_H1 = {1: 33.4, 2: 25.5}
 
 def _cell_rate(n, kernel, psi, h, d, alternative, reps, seed):
     coords = CellCoords(0, n, kernel, psi, h, d, alternative)
-    res = run_cell(coords, reps, seed, ExperimentGrid())
+    res = run_cell(coords, ExperimentGrid(replications=reps, seed=seed))
     assert res.error is None, res.error
     return 100.0 * res.reject_rate
 

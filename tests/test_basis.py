@@ -15,7 +15,6 @@ from funcusum.basis import (
     FunctionalSample,
     Grid,
     SingularFitError,
-    basis_transform_matrix,
     bspline_basis,
     change_basis,
     fit_curve,
@@ -260,9 +259,9 @@ class TestChangeBasis:
             change_basis(sample, fourier_basis(25), Grid.uniform(10))
 
     def test_transform_matrix_shape(self):
-        m = basis_transform_matrix(fourier_basis(5), bspline_basis(8),
-                                   Grid.uniform(101))
-        assert m.shape == (8, 5)
+        sample = FunctionalSample(np.zeros((3, 5)), fourier_basis(5))
+        out = change_basis(sample, bspline_basis(8), Grid.uniform(101))
+        assert out.coeffs.shape == (3, 8) and out.basis == bspline_basis(8)
 
 
 class TestCurveAlgebra:

@@ -334,12 +334,44 @@ class TestCmdTables:
         assert "cell 0" not in err
         assert not out.exists()
 
+    def test_bad_change_shape_exit_2_before_any_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG.replace("alternative = false",
+                                             "alternative = false, true")
+                       + "change_shape = foo\n")
+        out = tmp_path / "cells.csv"
+        assert main(["tables", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error: unknown change shape 'foo'" in err
+        assert not any(line.startswith("cell ") for line in err.splitlines())
+        assert not out.exists()
+
+    def test_progress_line_counts_cells(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG.replace("d = 1", "d = 1, 2"))
+        out = tmp_path / "cells.csv"
+        assert main(["tables", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["cell 0/2", "cell 1/2"]
+        assert main(["tables", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_bad_grid_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("n = 30\nreplications = zero\n")
         assert main(["tables", str(cfg), "--out",
                      str(tmp_path / "x.csv")]) == 2
         assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "simulate", "tables"])
+def test_replay_of_non_object_json_exit_2(tmp_path, capsys, command):
+    replay = tmp_path / "replay.json"
+    replay.write_text("[1, 2]\n")
+    out = tmp_path / "out"
+    assert main([command, "--replay", str(replay), "--out", str(out)]) == 2
+    assert "is not a JSON object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestEntryPoint:

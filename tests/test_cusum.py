@@ -18,8 +18,6 @@ from funcusum.cusum import (
     change_estimates,
     gumbel_critical,
     gumbel_pvalue,
-    normalizer_a,
-    normalizer_b,
     normalizers,
     run_test,
     scores,
@@ -188,8 +186,9 @@ class TestStatistic:
 
 class TestNormalizers:
     def test_values_at_t_equal_e(self):
-        assert normalizer_a(math.e) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert normalizer_b(math.e, 2) == pytest.approx(2.0, abs=1e-15)
+        a, b = normalizers(math.exp(math.e), 2)  # t = log n = e
+        assert a == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert b == pytest.approx(2.0, abs=1e-15)
 
     def test_high_precision_oracle(self):
         mpmath.mp.dps = 50
@@ -208,12 +207,12 @@ class TestNormalizers:
         assert math.isfinite(a) and math.isfinite(b)
 
     def test_rejects_t_at_most_one(self):
-        with pytest.raises(ValueError, match="t > 1"):
-            normalizer_a(1.0)
-        with pytest.raises(ValueError, match="t > 1"):
-            normalizer_b(0.5, 2)
+        with pytest.raises(ValueError, match="log log n > 0"):
+            normalizers(math.e, 1)  # t = log n = 1
+        with pytest.raises(ValueError, match="log log n > 0"):
+            normalizers(2, 2)
         with pytest.raises(ValueError, match="d"):
-            normalizer_b(math.e, 0)
+            normalizers(math.exp(math.e), 0)
 
 
 class TestGumbel:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ GRIDS = st.builds(
     fourier_size=st.integers(1, 50))
 
 FROZEN_TIMER = lambda: 0.0
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 class TestExperimentGrid:
@@ -114,38 +116,38 @@ class TestExperimentGrid:
 
 class TestRunCell:
     def test_single_replication_deterministic(self):
-        g = ExperimentGrid()
+        g = ExperimentGrid(replications=1, seed=3)
         c = CellCoords(0, 50, "gaussian", 0.2, 1.0, 1, False)
-        a = run_cell(c, 1, 3, g, timer=FROZEN_TIMER)
-        b = run_cell(c, 1, 3, g, timer=FROZEN_TIMER)
+        a = run_cell(c, g, timer=FROZEN_TIMER)
+        b = run_cell(c, g, timer=FROZEN_TIMER)
         assert a == b
 
     def test_null_cell_rejection_plausible(self):
-        g = ExperimentGrid()
+        g = ExperimentGrid(replications=200, seed=0)
         c = CellCoords(0, 100, "gaussian", 0.2, 2.0, 2, False)
-        res = run_cell(c, 200, 0, g)
+        res = run_cell(c, g)
         assert 0.02 <= res.reject_rate <= 0.15
         assert res.completed == 200 and res.error is None
         assert res.seconds > 0.0
 
     def test_power_cell_near_one_and_locates_change(self):
-        g = ExperimentGrid()
+        g = ExperimentGrid(replications=100, seed=0)
         c = CellCoords(0, 100, "gaussian", 0.2, 1.0, 3, True)
-        res = run_cell(c, 100, 0, g)
+        res = run_cell(c, g)
         assert res.reject_rate >= 0.95
         assert abs(res.khat_median - 0.5) <= 0.05
 
     def test_se_is_binomial(self):
-        g = ExperimentGrid()
+        g = ExperimentGrid(replications=64, seed=5)
         c = CellCoords(0, 50, "wiener", 0.5, 1.0, 1, False)
-        res = run_cell(c, 64, 5, g)
+        res = run_cell(c, g)
         p = res.reject_rate
         assert res.se == pytest.approx(math.sqrt(p * (1 - p) / 64), abs=1e-12)
 
     def test_failing_replication_recorded_not_raised(self):
-        g = ExperimentGrid()
+        g = ExperimentGrid(replications=5, seed=11)
         c = CellCoords(4, 2, "gaussian", 0.2, 1.0, 1, False)
-        res = run_cell(c, 5, 11, g, timer=FROZEN_TIMER)
+        res = run_cell(c, g, timer=FROZEN_TIMER)
         assert res.error is not None
         assert "replication 0" in res.error and "(11, 4, 0)" in res.error
         assert res.completed == 0
@@ -153,11 +155,11 @@ class TestRunCell:
 
     def test_size_inflation_under_strong_dependence(self):
         # undersized bandwidth h=1 leaves serial dependence uncorrected
-        g = ExperimentGrid()
+        g = ExperimentGrid(replications=200, seed=7)
         sizes = {}
         for psi in (0.1, 0.8):
             c = CellCoords(0, 100, "wiener", psi, 1.0, 1, False)
-            sizes[psi] = run_cell(c, 200, 7, g)
+            sizes[psi] = run_cell(c, g)
         assert sizes[0.8].reject_rate >= sizes[0.1].reject_rate - 2 * sizes[0.1].se
 
 
@@ -175,6 +177,19 @@ class TestRunGrid:
         results = run_grid(g, progress=seen.append, timer=FROZEN_TIMER)
         assert [r.coords.index for r in results] == [0, 1]
         assert seen == results
+
+    @pytest.mark.parametrize("bad", [
+        dict(alternatives=(False, True), change_shape="foo"),
+        dict(kernels=("gaussian", "cauchy")),
+        dict(psi_values=(0.2, 1.5)),
+        dict(d_values=(1, 30)),
+    ])
+    def test_bad_cell_setting_raises_before_any_cell(self, bad):
+        g = self.small_grid(**bad)
+        seen = []
+        with pytest.raises(ValueError):
+            run_grid(g, progress=seen.append, timer=FROZEN_TIMER)
+        assert seen == []
 
     def test_partial_failure_continues(self):
         g = self.small_grid(n_values=(2, 30))
@@ -236,3 +251,24 @@ class TestRunGrid:
         entries = row.split(",")[2:]
         for entry, res in zip(entries, results):
             assert entry == f"{100 * res.reject_rate:.1f}"
+
+
+class TestTableConfigs:
+    """The committed size and power table configs keep the simulation
+    study's layout: both kernels, 400 cells per kernel (16 for --quick)."""
+
+    @pytest.mark.parametrize("name,cells,alternative,seed", [
+        ("size_tables.cfg", 400, False, 0),
+        ("size_tables_quick.cfg", 16, False, 0),
+        ("power_tables.cfg", 400, True, 1),
+        ("power_tables_quick.cfg", 16, True, 1),
+    ])
+    def test_layout(self, name, cells, alternative, seed):
+        grid = ExperimentGrid.from_config((SCRIPTS / name).read_text())
+        assert grid.kernels == ("gaussian", "wiener")
+        per_kernel = [sum(c.kernel == k for c in grid.cells())
+                      for k in grid.kernels]
+        assert per_kernel == [cells, cells]
+        assert grid.alternatives == (alternative,)
+        assert grid.seed == seed
+        assert grid.alpha == 0.1

@@ -90,15 +90,6 @@ class TestCalibrateKernel:
         with pytest.raises(ValueError):
             calibrate_kernel("gaussian", -0.1)
 
-    def test_custom_kernel(self):
-        k = calibrate_kernel("custom", 0.4, custom=lambda t, s: t * s)
-        # L2 norm of t*s is 1/3, so scale = 1.2
-        assert k.scale == pytest.approx(1.2, abs=1e-4)
-
-    def test_custom_without_callable(self):
-        with pytest.raises(ValueError, match="callable"):
-            calibrate_kernel("custom", 0.4)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             calibrate_kernel("cauchy", 0.4)
@@ -292,8 +283,3 @@ class TestConfigRoundTrip:
     def test_malformed_line_reports_number(self):
         with pytest.raises(ValueError, match="line 2"):
             SimSpec.from_config("n = 30\nnot a setting\n")
-
-    def test_custom_kernel_not_serializable(self):
-        k = calibrate_kernel("custom", 0.4, custom=lambda t, s: t * s)
-        with pytest.raises(ValueError, match="custom"):
-            SimSpec(n=10, kernel=k).to_config()
