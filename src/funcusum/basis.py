@@ -8,6 +8,7 @@ L^2[0,1] and reduce to quadratic forms in the basis Gram matrix.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -15,6 +16,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BSpline
+
+
+# Conversion matrices kept by change_basis's per-process memo.
+_MEMO_SIZE = 64
 
 
 class BasisMismatchError(ValueError):
@@ -248,12 +253,17 @@ class FunctionalSample:
         A column that is constant across the sample cancels only up to the
         summation error of the mean; downstream 0/0 conventions need exact
         zeros there, so residues within a few ulps of the column magnitude
-        are zeroed.
+        are zeroed.  Computed once per sample; the array is read-only.
         """
+        return self._centered
+
+    @functools.cached_property
+    def _centered(self) -> np.ndarray:
         c = self.coeffs - self.coeffs.mean(axis=0)
         scale = np.abs(self.coeffs).max(axis=0)
         tol = 8.0 * np.finfo(float).eps * np.log2(len(self) + 1.0) * scale
         c[np.abs(c) <= tol] = 0.0
+        c.setflags(write=False)
         return c
 
 
@@ -301,6 +311,14 @@ def fit_sample(values: np.ndarray, grid: Grid, basis: Basis) -> FunctionalSample
     return FunctionalSample(_fit_matrix(values, grid, basis), basis)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _conversion_matrix(source: Basis, target: Basis, points: bytes) -> np.ndarray:
+    grid = Grid(np.frombuffer(points))
+    fit = _fit_matrix(source.evaluate(grid.points).T, grid, target)
+    fit.setflags(write=False)
+    return fit
+
+
 def change_basis(sample: FunctionalSample, target: Basis,
                  grid: Grid | None = None) -> FunctionalSample:
     """Re-express a sample in `target` by evaluate-then-refit on `grid`.
@@ -308,12 +326,17 @@ def change_basis(sample: FunctionalSample, target: Basis,
     Each source basis function is fit into `target` once; row j of the fit
     holds the target coefficients of source function j.  Defaults to a
     uniform grid fine enough for the larger of the two bases.
+
+    The fit matrix depends only on the two bases and the grid, so it is
+    memoised per process on (source basis, target basis, the grid points'
+    bytes) and kept read-only (the last _MEMO_SIZE keys are kept).  A fit
+    that fails raises on every call.
     """
     if sample.basis == target:
         return sample
     if grid is None:
         grid = Grid.uniform(max(201, 4 * max(sample.basis.size, target.size) + 1))
-    fit = _fit_matrix(sample.basis.evaluate(grid.points).T, grid, target)
+    fit = _conversion_matrix(sample.basis, target, grid.points.tobytes())
     return FunctionalSample(sample.coeffs @ fit, target)
 
 

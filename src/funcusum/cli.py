@@ -16,6 +16,8 @@ import dataclasses
 import json
 import sys
 import time
+import types
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,6 +57,32 @@ def _load_manifest(path: str) -> dict:
     if not isinstance(loaded, dict):
         raise DataError(f"{path}: the manifest is not a JSON object")
     return loaded
+
+
+def _checked_record(record: dict, cls: type, path: str, what: str) -> dict:
+    """`record`, a JSON object read from `path`, checked against the fields
+    of the dataclass `cls`; an unknown key or a value of the wrong type is
+    a DataError that names the file and the key."""
+    hints = get_type_hints(cls)
+    for key, value in record.items():
+        if key not in hints:
+            raise DataError(f"{path}: unknown {what} key {key!r}")
+        if not _has_type(value, hints[key]):
+            raise DataError(
+                f"{path}: {what} key {key!r} has the wrong type: {value!r}")
+    return record
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field hint.  An int passes as a float or
+    a bool, since the dataclasses take those as they take the exact type."""
+    origin = get_origin(hint)
+    if origin is types.UnionType:
+        return any(_has_type(value, h) for h in get_args(hint))
+    if origin is tuple:
+        return (isinstance(value, list)
+                and all(_has_type(v, get_args(hint)[0]) for v in value))
+    return isinstance(value, {float: (int, float), bool: int}.get(hint, hint))
 
 
 def _parse_keep(text: str) -> tuple[int, int]:
@@ -172,9 +200,11 @@ def cmd_test(args) -> int:
             f"smoothing basis size {size}")
     sample = fit_sample(values, data.grid, bspline_basis(size, order))
     tc = manifest["test_config"]
-    cfg = TestConfig(d=tc["d"], h=tc["h"], lag_kernel=tc["lag_kernel"],
-                     alpha=tc["alpha"], critical_method=tc["critical_method"],
-                     fourier_size=prep["fourier"])
+    settings = _checked_record(
+        {key: tc[key] for key in
+         ("d", "h", "lag_kernel", "alpha", "critical_method")},
+        TestConfig, args.replay, "test_config")
+    cfg = TestConfig(**settings, fourier_size=prep["fourier"])
     result = run_test(sample, cfg)
     print(f"n = {result.n}  d = {result.d}  h = {result.h:g}  "
           f"lag_kernel = {result.lag_kernel}")
@@ -225,9 +255,10 @@ def cmd_tables(args) -> int:
     if args.replay:
         manifest = _load_manifest(args.replay)
         raw = manifest.get("grid")
-        if raw is None:
+        if not isinstance(raw, dict):
             raise DataError(f"{args.replay} does not contain a grid record")
-        grid = ExperimentGrid(**raw)
+        grid = ExperimentGrid(**_checked_record(raw, ExperimentGrid,
+                                                args.replay, "grid"))
         timestamp = manifest.get("timestamp", _utc_stamp())
     else:
         with open(args.config) as fh:

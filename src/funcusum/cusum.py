@@ -13,6 +13,7 @@ weighted bridge supremum V_n restricted to I_n = [h_n, 1-h_n].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -21,6 +22,11 @@ import numpy as np
 
 from .basis import FunctionalSample, Grid, change_basis, fourier_basis
 from .lrcov import LagWindowKernel, LrCovEstimate, default_bandwidth, lrcov_estimate
+
+
+# Entries kept by each per-process memo below.  A Monte Carlo cell reuses
+# one key for all its replications, so the bound only limits memory.
+_MEMO_SIZE = 256
 
 
 class ApproximationFailureError(RuntimeError):
@@ -122,9 +128,13 @@ def scores(sample: FunctionalSample, est: LrCovEstimate, d: int) -> ScoreMatrix:
     return ScoreMatrix(eta=eta, lambdas=est.eigvals[:d].copy())
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _weights(n: int) -> np.ndarray:
+    """w(k/n) for k = 1..n-1, memoised on n; the array is read-only."""
     k = np.arange(1, n, dtype=float) / n
-    return 1.0 / np.sqrt(k * (1.0 - k))
+    w = 1.0 / np.sqrt(k * (1.0 - k))
+    w.setflags(write=False)
+    return w
 
 
 def _weighted_max(values: np.ndarray, n: int) -> tuple[float, int]:
@@ -250,6 +260,7 @@ def vostrikova_pvalue(t_stat: float, n: int, d: int) -> float:
     return vostrikova_tail(t_stat, n, d)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def vostrikova_critical(alpha: float, n: int, d: int) -> float:
     """Root of vostrikova_tail(x) = alpha by bisection on [sqrt(d)+1e-6, 50].
 
@@ -258,6 +269,11 @@ def vostrikova_critical(alpha: float, n: int, d: int) -> float:
     close to 1 the target can exceed the expansion's maximum, in which case
     an ApproximationFailureError is raised (central quantiles are outside
     the expansion's reach).
+
+    The root depends on (alpha, n, d) alone, so it is memoised per process
+    on that key (the last _MEMO_SIZE keys are kept).  Errors are not
+    memoised: an alpha with no root raises on every call.  The unmemoised
+    solver is vostrikova_critical.__wrapped__.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")

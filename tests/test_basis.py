@@ -15,6 +15,8 @@ from funcusum.basis import (
     FunctionalSample,
     Grid,
     SingularFitError,
+    _conversion_matrix,
+    _fit_matrix,
     bspline_basis,
     change_basis,
     fit_curve,
@@ -263,6 +265,29 @@ class TestChangeBasis:
         out = change_basis(sample, bspline_basis(8), Grid.uniform(101))
         assert out.coeffs.shape == (3, 8) and out.basis == bspline_basis(8)
 
+    @pytest.mark.parametrize("source,target", [
+        (bspline_basis(25, 4), fourier_basis(25)),
+        (bspline_basis(12, 4), fourier_basis(40)),
+        (fourier_basis(5), bspline_basis(8)),
+    ], ids=["B25:4-F25", "B12:4-F40", "F5-B8"])
+    def test_repeated_call_matches_fresh_solve_bitwise(self, source, target):
+        grid = Grid.uniform(201)
+        coeffs = np.random.default_rng(4).normal(size=(6, source.size))
+        sample = FunctionalSample(coeffs, source)
+        fresh = coeffs @ _fit_matrix(source.evaluate(grid.points).T, grid,
+                                     target)
+        for _ in range(2):
+            out = change_basis(sample, target, Grid.uniform(201))
+            assert out.coeffs.tobytes() == fresh.tobytes()
+
+    def test_memoised_matrix_is_read_only(self):
+        source, target = bspline_basis(25), fourier_basis(25)
+        grid = Grid.uniform(201)
+        change_basis(FunctionalSample(np.ones((1, 25)), source), target, grid)
+        fit = _conversion_matrix(source, target, grid.points.tobytes())
+        with pytest.raises(ValueError, match="read-only"):
+            fit[0, 0] = 1.0
+
 
 class TestCurveAlgebra:
     def test_add_sub_scale(self):
@@ -282,6 +307,15 @@ class TestCurveAlgebra:
         b = fourier_basis(2)
         s = FunctionalSample(np.array([[1.0, 0.0], [3.0, 2.0]]), b)
         assert np.allclose(s.mean().coeffs, [2.0, 1.0])
+
+    def test_centered_computed_once_and_read_only(self):
+        b = fourier_basis(2)
+        s = FunctionalSample(np.array([[1.0, 0.0], [3.0, 2.0]]), b)
+        c = s.centered()
+        assert c is s.centered()
+        assert np.array_equal(c, [[-1.0, -1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            c[0, 0] = 0.0
 
 
 class TestCurveCSV:

@@ -364,6 +364,48 @@ class TestCmdTables:
         assert "input error" in capsys.readouterr().err
 
 
+class TestReplayRecordChecks:
+    """A replayed record with an unknown key or a wrongly typed value is an
+    input error that names the file and the key, not a TypeError."""
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("bogus", 1, "unknown grid key 'bogus'"),
+        ("n_values", 5, "grid key 'n_values' has the wrong type: 5"),
+    ], ids=["unknown_key", "scalar_axis"])
+    def test_bad_grid_record_exit_2(self, tmp_path, capsys, key, value,
+                                    message):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG)
+        assert main(["tables", str(cfg), "--out", str(tmp_path / "a.csv"),
+                     "--quiet"]) == 0
+        sidecar = tmp_path / "a.csv.manifest.json"
+        data = json.loads(sidecar.read_text())
+        data["grid"][key] = value
+        sidecar.write_text(json.dumps(data))
+        out = tmp_path / "b.csv"
+        capsys.readouterr()
+        assert main(["tables", "--replay", str(sidecar), "--out", str(out),
+                     "--quiet"]) == 2
+        assert f"input error: {sidecar}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_test_config_d_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "noise.csv"
+        write_noise_csv(path)
+        report = tmp_path / "report.json"
+        assert main(["test", str(path), "--d", "2", "--out", str(report)]) == 0
+        capsys.readouterr()
+        data = json.loads(report.read_text())
+        data["manifest"]["test_config"]["d"] = "2"
+        report.write_text(json.dumps(data))
+        out = tmp_path / "replayed.json"
+        assert main(["test", "--replay", str(report), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"input error: {report}: test_config key 'd' has the wrong "
+                "type: '2'") in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["test", "simulate", "tables"])
 def test_replay_of_non_object_json_exit_2(tmp_path, capsys, command):
     replay = tmp_path / "replay.json"

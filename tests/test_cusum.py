@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcusum.basis import FunctionalSample, change_basis, fourier_basis, inner_product
+from funcusum.basis import (FunctionalSample, _conversion_matrix, change_basis,
+                            fourier_basis, inner_product)
 from funcusum.cusum import (
     ApproximationFailureError,
     ScoreMatrix,
     _fully_functional_max,
+    _weights,
     change_estimates,
     gumbel_critical,
     gumbel_pvalue,
@@ -28,6 +30,7 @@ from funcusum.cusum import (
 )
 from funcusum.cusum import TestConfig as Config
 from funcusum.cusum import TestResult as Result
+from funcusum.harness import ExperimentGrid, run_cell
 from funcusum.lrcov import LagWindowKernel, LrCovEstimate, lrcov_estimate
 from funcusum.simulate import Far1Simulator, SimSpec, calibrate_kernel, make_change
 
@@ -296,14 +299,44 @@ class TestVostrikovaCritical:
         assert abs(x - q_mc) <= 0.02 * q_mc
 
     def test_central_quantiles_unreachable(self):
-        with pytest.raises(ApproximationFailureError, match="peaks"):
-            vostrikova_critical(0.99, 100, 1)
+        for _ in range(2):  # a failure is not memoised: it raises every time
+            with pytest.raises(ApproximationFailureError, match="peaks"):
+                vostrikova_critical(0.99, 100, 1)
         x = vostrikova_critical(0.9, 100, 1)  # still solvable, near the edge
         assert x < 1.5
 
     def test_alpha_bounds(self):
         with pytest.raises(ValueError, match="alpha"):
             vostrikova_critical(0.0, 100, 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(0.01, 0.5), n=st.integers(50, 2000),
+           d=st.integers(1, 5))
+    def test_memo_equals_unmemoised_solver_bitwise(self, alpha, n, d):
+        fresh = vostrikova_critical.__wrapped__(alpha, n, d)
+        for _ in range(2):  # the first call may fill the memo, the second hits it
+            assert vostrikova_critical(alpha, n, d).hex() == fresh.hex()
+
+
+class TestMemo:
+    def test_weights_read_only(self):
+        w = _weights(50)
+        assert w is _weights(50)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+
+    def test_run_cell_identical_with_cold_and_warm_caches(self):
+        grid = ExperimentGrid(n_values=(60,), psi_values=(0.4,),
+                              kernels=("wiener",), h_values=(2.0,),
+                              d_values=(2,), replications=4, burn_in=10,
+                              seed=5)
+        coords = grid.cells()[0]
+        frozen = lambda: 0.0
+        for memo in (vostrikova_critical, _weights, _conversion_matrix):
+            memo.cache_clear()
+        cold = run_cell(coords, grid, timer=frozen)
+        warm = run_cell(coords, grid, timer=frozen)
+        assert cold == warm and cold.error is None
 
 
 class TestChangeEstimates:
