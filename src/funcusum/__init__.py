@@ -12,8 +12,8 @@ from .basis import (Basis, BasisMismatchError, Curve, CurveCSVError,
                     bspline_basis, change_basis, fit_curve, fit_sample,
                     fourier_basis, inner_product, read_curves_csv,
                     write_curves_csv)
-from .cusum import (ApproximationFailureError, ChangeEstimates, ScoreMatrix,
-                    TestConfig, TestResult, change_estimates, gumbel_critical,
+from .cusum import (ApproximationFailureError, CusumStats, ScoreMatrix,
+                    TestConfig, TestResult, cusum_stats, gumbel_critical,
                     gumbel_pvalue, normalizers, run_test, scores, statistic,
                     vostrikova_critical, vostrikova_pvalue, vostrikova_tail)
 from .harness import (CellCoords, CellResult, ExperimentGrid, cells_to_csv,
@@ -25,12 +25,12 @@ from .simulate import (ChangeSpec, Far1Simulator, IntegralKernel, SimSpec,
 
 __all__ = [
     "ApproximationFailureError", "Basis", "BasisMismatchError", "CellCoords",
-    "CellResult", "ChangeEstimates", "ChangeSpec", "Curve", "CurveCSVError",
-    "CurveMatrix", "ExperimentGrid", "Far1Simulator", "FunctionalSample", "Grid",
+    "CellResult", "ChangeSpec", "Curve", "CurveCSVError", "CurveMatrix",
+    "CusumStats", "ExperimentGrid", "Far1Simulator", "FunctionalSample", "Grid",
     "IntegralKernel", "LagWindowKernel", "LrCovEstimate", "ScoreMatrix",
     "SimSpec", "SingularFitError", "TestConfig", "TestResult",
     "brownian_bridge_values", "bspline_basis", "calibrate_kernel",
-    "cells_to_csv", "change_basis", "change_estimates", "default_bandwidth",
+    "cells_to_csv", "change_basis", "cusum_stats", "default_bandwidth",
     "fit_curve", "fit_sample", "format_table_panels", "fourier_basis",
     "grid_sidecar", "gumbel_critical", "gumbel_pvalue", "inner_product",
     "lag_cov", "lrcov_estimate", "make_change", "normalizers",

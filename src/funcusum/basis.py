@@ -220,7 +220,9 @@ def _check_same_basis(a: Basis, b: Basis) -> None:
 class FunctionalSample:
     """An ordered sample of n curves sharing one basis.
 
-    Stored as an (n, size) coefficient matrix; row i holds curve i.
+    Stored as an (n, size) coefficient matrix; row i holds curve i.  A
+    batch of samples of one n stacks their matrices on leading axes,
+    (..., n, size); the pipeline's stage functions take either.
     """
 
     coeffs: np.ndarray
@@ -228,14 +230,15 @@ class FunctionalSample:
 
     def __post_init__(self) -> None:
         c = _readonly(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 2 or c.shape[1] != self.basis.size:
+        if c.ndim < 2 or c.shape[-1] != self.basis.size:
             raise ValueError("coefficient matrix shape does not match basis size")
-        if c.shape[0] < 1:
+        if c.shape[-2] < 1:
             raise ValueError("sample must contain at least one curve")
         object.__setattr__(self, "coeffs", c)
 
     def __len__(self) -> int:
-        return self.coeffs.shape[0]
+        """The number of curves n in the sample (in each sample of a batch)."""
+        return self.coeffs.shape[-2]
 
     def curve(self, i: int) -> Curve:
         return Curve(self.coeffs[i], self.basis)
@@ -259,8 +262,8 @@ class FunctionalSample:
 
     @functools.cached_property
     def _centered(self) -> np.ndarray:
-        c = self.coeffs - self.coeffs.mean(axis=0)
-        scale = np.abs(self.coeffs).max(axis=0)
+        c = self.coeffs - self.coeffs.mean(axis=-2, keepdims=True)
+        scale = np.abs(self.coeffs).max(axis=-2, keepdims=True)
         tol = 8.0 * np.finfo(float).eps * np.log2(len(self) + 1.0) * scale
         c[np.abs(c) <= tol] = 0.0
         c.setflags(write=False)

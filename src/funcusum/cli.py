@@ -32,6 +32,14 @@ from .simulate import Far1Simulator, SimSpec
 REPORT_SCHEMA = "funcusum-report-1"
 SIM_SCHEMA = "funcusum-simulate-1"
 
+# Value types of a test report's preprocess record and of its basis_smooth
+# entry, which _checked_record checks on --replay.
+_PREPROCESS_FIELDS = {"drop_indices": tuple[int, ...],
+                      "keep": tuple[int, int] | None, "log_ratio": bool,
+                      "basis_smooth": dict, "fourier": int,
+                      "rescaled_grid": bool}
+_BASIS_SMOOTH_FIELDS = {"size": int, "order": int}
+
 
 class DataError(ValueError):
     """Input data violates a preprocessing precondition."""
@@ -59,15 +67,17 @@ def _load_manifest(path: str) -> dict:
     return loaded
 
 
-def _checked_record(record: dict, cls: type, path: str, what: str) -> dict:
-    """`record`, a JSON object read from `path`, checked against the fields
-    of the dataclass `cls`; an unknown key or a value of the wrong type is
-    a DataError that names the file and the key."""
-    hints = get_type_hints(cls)
+def _checked_record(record, fields: dict, path: str, what: str) -> dict:
+    """`record`, a JSON object read from `path`, checked against `fields`
+    (key -> type hint, such as a dataclass's type hints); a record that is
+    not an object, an unknown key or a value of the wrong type is a
+    DataError that names the file and the key."""
+    if not isinstance(record, dict):
+        raise DataError(f"{path}: the {what} record is not a JSON object")
     for key, value in record.items():
-        if key not in hints:
+        if key not in fields:
             raise DataError(f"{path}: unknown {what} key {key!r}")
-        if not _has_type(value, hints[key]):
+        if not _has_type(value, fields[key]):
             raise DataError(
                 f"{path}: {what} key {key!r} has the wrong type: {value!r}")
     return record
@@ -80,8 +90,10 @@ def _has_type(value, hint) -> bool:
     if origin is types.UnionType:
         return any(_has_type(value, h) for h in get_args(hint))
     if origin is tuple:
+        args = get_args(hint)
         return (isinstance(value, list)
-                and all(_has_type(v, get_args(hint)[0]) for v in value))
+                and (args[-1] is Ellipsis or len(value) == len(args))
+                and all(_has_type(v, args[0]) for v in value))
     return isinstance(value, {float: (int, float), bool: int}.get(hint, hint))
 
 
@@ -188,7 +200,10 @@ def cmd_test(args) -> int:
     # read the settings differently.
     manifest = (_load_manifest(args.replay) if args.replay
                 else _test_manifest(args))
-    prep = manifest["preprocess"]
+    prep = _checked_record(manifest["preprocess"], _PREPROCESS_FIELDS,
+                           args.replay, "preprocess")
+    _checked_record(prep["basis_smooth"], _BASIS_SMOOTH_FIELDS, args.replay,
+                    "preprocess basis_smooth")
     data = read_curves_csv(manifest["input"])
     prep["rescaled_grid"] = data.rescaled
     values = preprocess(data.values, drop=prep["drop_indices"],
@@ -203,7 +218,7 @@ def cmd_test(args) -> int:
     settings = _checked_record(
         {key: tc[key] for key in
          ("d", "h", "lag_kernel", "alpha", "critical_method")},
-        TestConfig, args.replay, "test_config")
+        get_type_hints(TestConfig), args.replay, "test_config")
     cfg = TestConfig(**settings, fourier_size=prep["fourier"])
     result = run_test(sample, cfg)
     print(f"n = {result.n}  d = {result.d}  h = {result.h:g}  "
@@ -257,8 +272,8 @@ def cmd_tables(args) -> int:
         raw = manifest.get("grid")
         if not isinstance(raw, dict):
             raise DataError(f"{args.replay} does not contain a grid record")
-        grid = ExperimentGrid(**_checked_record(raw, ExperimentGrid,
-                                                args.replay, "grid"))
+        grid = ExperimentGrid(**_checked_record(
+            raw, get_type_hints(ExperimentGrid), args.replay, "grid"))
         timestamp = manifest.get("timestamp", _utc_stamp())
     else:
         with open(args.config) as fh:

@@ -59,7 +59,8 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Estimated partial-sum scores eta (rows k=1..n-1) and eigenvalues."""
+    """Estimated partial-sum scores eta (rows k=1..n-1) and eigenvalues; a
+    batch stacks both on leading axes."""
 
     eta: np.ndarray
     lambdas: np.ndarray
@@ -67,7 +68,7 @@ class ScoreMatrix:
     def __post_init__(self) -> None:
         eta = np.asarray(self.eta, dtype=float)
         lam = np.asarray(self.lambdas, dtype=float)
-        if eta.ndim != 2 or lam.ndim != 1 or eta.shape[1] != lam.size:
+        if eta.ndim < 2 or eta.shape[:-2] + eta.shape[-1:] != lam.shape:
             raise ValueError("score matrix and eigenvalue shapes do not agree")
         if not np.all(np.isfinite(eta)):
             raise ValueError("scores must be finite")
@@ -75,15 +76,23 @@ class ScoreMatrix:
         object.__setattr__(self, "lambdas", lam)
 
     @property
-    def degenerate(self) -> bool:
-        """True when some standardizing eigenvalue is not strictly positive."""
-        return bool(np.any(self.lambdas <= 0.0))
+    def degenerate(self) -> np.ndarray:
+        """Whether some standardizing eigenvalue is not strictly positive,
+        per sample."""
+        return np.any(self.lambdas <= 0.0, axis=-1)
 
 
-class ChangeEstimates(NamedTuple):
-    standardized: int
-    unstandardized: int
-    fully_functional: int
+class CusumStats(NamedTuple):
+    """The data-dependent outcome of the test: one value per sample of a
+    batch in each array field."""
+
+    h: float
+    statistic: np.ndarray
+    critical_value: float
+    k_standardized: np.ndarray
+    k_unstandardized: np.ndarray
+    k_fully_functional: np.ndarray
+    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,7 +121,8 @@ class TestResult:
 
 
 def scores(sample: FunctionalSample, est: LrCovEstimate, d: int) -> ScoreMatrix:
-    """Partial-sum scores of the centered sample on the leading d FPCs.
+    """Partial-sum scores of the centered sample on the leading d FPCs, per
+    sample of a batch.
 
     Computed as cumulative sums of per-observation scores, O(nd).
     """
@@ -123,9 +133,9 @@ def scores(sample: FunctionalSample, est: LrCovEstimate, d: int) -> ScoreMatrix:
     if not sample.basis.is_orthonormal:
         raise ValueError("scores require an orthonormal basis")
     n = len(sample)
-    per_obs = sample.centered() @ est.eigvecs[:, :d]
-    eta = np.cumsum(per_obs, axis=0)[:n - 1] / math.sqrt(n)
-    return ScoreMatrix(eta=eta, lambdas=est.eigvals[:d].copy())
+    per_obs = sample.centered() @ est.eigvecs[..., :d]
+    eta = np.cumsum(per_obs, axis=-2)[..., :n - 1, :] / math.sqrt(n)
+    return ScoreMatrix(eta=eta, lambdas=est.eigvals[..., :d])
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -137,29 +147,39 @@ def _weights(n: int) -> np.ndarray:
     return w
 
 
-def _weighted_max(values: np.ndarray, n: int) -> tuple[float, int]:
+def _weighted_max(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum of w(k/n) * values over the last axis and its smallest
+    maximizing k."""
     obj = _weights(n) * values
-    idx = int(np.argmax(obj))
-    return float(obj[idx]), idx + 1
+    idx = np.argmax(obj, axis=-1)
+    return np.take_along_axis(obj, idx[..., None], axis=-1)[..., 0], idx + 1
 
 
 def _standardized_sumsq(sm: ScoreMatrix) -> np.ndarray:
     """Row sums of eta^2/lambda with the conventions 0/0 = 0, x/0 = inf."""
     sq = sm.eta ** 2
     lam = sm.lambdas
-    pos = lam > 0.0
-    out = np.zeros(sq.shape[0])
-    if pos.any():
-        out += sq[:, pos] @ (1.0 / lam[pos])
-    if (~pos).any():
-        bad = sq[:, ~pos].sum(axis=1)
-        out = np.where(bad > 0.0, np.inf, out)
+    if np.all(lam > 0.0):
+        # Column-major per sample: the layout of sq[i][:, pos] below, which
+        # the rounding of the product depends on.
+        sq = np.ascontiguousarray(sq.mT).mT
+        return np.matmul(sq, (1.0 / lam)[..., None])[..., 0]
+    # Some eigenvalue is not positive: each sample sums over its own
+    # positive ones.
+    out = np.zeros(sq.shape[:-1])
+    for i in np.ndindex(lam.shape[:-1]):
+        pos = lam[i] > 0.0
+        if pos.any():
+            out[i] += sq[i][:, pos] @ (1.0 / lam[i][pos])
+        bad = sq[i][:, ~pos].sum(axis=-1)
+        out[i] = np.where(bad > 0.0, np.inf, out[i])
     return out
 
 
 def statistic(sm: ScoreMatrix, n: int, standardized: bool = True,
-              ) -> tuple[float, int]:
-    """Weighted-CUSUM maximum and its smallest maximizing index k.
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted-CUSUM maximum and its smallest maximizing index k, per
+    sample of a batch.
 
     Standardized form divides squared scores by the eigenvalues; when some
     eigenvalue is zero the statistic is +infinity unless the corresponding
@@ -168,13 +188,13 @@ def statistic(sm: ScoreMatrix, n: int, standardized: bool = True,
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if sm.eta.shape[0] != n - 1:
+    if sm.eta.shape[-2] != n - 1:
         raise ValueError(
-            f"score matrix has {sm.eta.shape[0]} rows, expected n-1 = {n - 1}")
+            f"score matrix has {sm.eta.shape[-2]} rows, expected n-1 = {n - 1}")
     if standardized:
         sumsq = _standardized_sumsq(sm)
     else:
-        sumsq = (sm.eta ** 2).sum(axis=1)
+        sumsq = (sm.eta ** 2).sum(axis=-1)
     return _weighted_max(np.sqrt(sumsq), n)
 
 
@@ -299,36 +319,28 @@ def vostrikova_critical(alpha: float, n: int, d: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def change_estimates(sample: FunctionalSample, est: LrCovEstimate,
-                     d: int) -> ChangeEstimates:
-    """The three argmax change-point estimators (smallest-index tie rule).
-
-    Standardized and unstandardized use the d projected scores; the fully
-    functional variant maximizes the weighted Euclidean norm of the full
-    centered cumulative coefficient vector.
-    """
-    n = len(sample)
-    sm = scores(sample, est, d)
-    _, k_std = statistic(sm, n, standardized=True)
-    _, k_unstd = statistic(sm, n, standardized=False)
-    _, k_full = _fully_functional_max(sample)
-    return ChangeEstimates(k_std, k_unstd, k_full)
-
-
-def _fully_functional_max(sample: FunctionalSample) -> tuple[float, int]:
+def _fully_functional_max(sample: FunctionalSample,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted maximum of the norm of the full centered cumulative
+    coefficient vector, and its smallest maximizing k, per sample."""
     if not sample.basis.is_orthonormal:
         raise ValueError("fully-functional objective needs an orthonormal basis")
     n = len(sample)
-    partial = np.cumsum(sample.centered(), axis=0)[:n - 1] / math.sqrt(n)
-    norms = np.sqrt((partial ** 2).sum(axis=1))
+    partial = np.cumsum(sample.centered(), axis=-2)[..., :n - 1, :] / math.sqrt(n)
+    norms = np.sqrt((partial ** 2).sum(axis=-1))
     return _weighted_max(norms, n)
 
 
-def run_test(sample: FunctionalSample, cfg: TestConfig) -> TestResult:
-    """Full pipeline: orthonormalize, estimate long-run FPCs, test, locate.
+def cusum_stats(sample: FunctionalSample, cfg: TestConfig) -> CusumStats:
+    """Orthonormalize, estimate long-run FPCs, take the weighted CUSUM
+    maxima and locate the change, for each sample of a batch.
 
     Samples in a non-orthonormal basis are converted to a Fourier basis of
-    cfg.fourier_size on a uniform 201-point grid first.
+    cfg.fourier_size on a uniform 201-point grid first.  All three change
+    locators use the smallest-index tie rule: standardized and
+    unstandardized maximize over the d projected scores, the fully
+    functional one over the full centered cumulative coefficient vector.
+    A sample's numbers do not depend on the batch it is in.
     """
     n = len(sample)
     if n < 3:
@@ -346,18 +358,30 @@ def run_test(sample: FunctionalSample, cfg: TestConfig) -> TestResult:
     t_stat, k_std = statistic(sm, n, standardized=True)
     _, k_unstd = statistic(sm, n, standardized=False)
     _, k_full = _fully_functional_max(work)
-    a, b = normalizers(n, cfg.d)
-    normalized = a * t_stat - b if math.isfinite(t_stat) else math.inf
-    p_g = gumbel_pvalue(t_stat, n, cfg.d)
-    p_v = vostrikova_pvalue(t_stat, n, cfg.d)
     if cfg.critical_method == "vostrikova":
         crit = vostrikova_critical(cfg.alpha, n, cfg.d)
     else:
         crit = gumbel_critical(cfg.alpha, n, cfg.d)
+    return CusumStats(h, t_stat, crit, k_std, k_unstd, k_full, sm.degenerate)
+
+
+def run_test(sample: FunctionalSample, cfg: TestConfig) -> TestResult:
+    """Full pipeline for one sample: cusum_stats on a batch of one, then
+    the normalized statistic and both p-values."""
+    n = len(sample)
+    stats = cusum_stats(FunctionalSample(sample.coeffs[None], sample.basis),
+                        cfg)
+    t_stat = float(stats.statistic[0])
+    a, b = normalizers(n, cfg.d)
+    normalized = a * t_stat - b if math.isfinite(t_stat) else math.inf
     return TestResult(
-        n=n, d=cfg.d, h=h, lag_kernel=cfg.lag_kernel, alpha=cfg.alpha,
+        n=n, d=cfg.d, h=stats.h, lag_kernel=cfg.lag_kernel, alpha=cfg.alpha,
         critical_method=cfg.critical_method, statistic=t_stat,
-        normalized=normalized, p_gumbel=p_g, p_vostrikova=p_v,
-        critical_value=crit, reject=bool(t_stat > crit),
-        k_hat_standardized=k_std, k_hat_unstandardized=k_unstd,
-        k_hat_fully_functional=k_full, degenerate=sm.degenerate)
+        normalized=normalized, p_gumbel=gumbel_pvalue(t_stat, n, cfg.d),
+        p_vostrikova=vostrikova_pvalue(t_stat, n, cfg.d),
+        critical_value=stats.critical_value,
+        reject=bool(t_stat > stats.critical_value),
+        k_hat_standardized=int(stats.k_standardized[0]),
+        k_hat_unstandardized=int(stats.k_unstandardized[0]),
+        k_hat_fully_functional=int(stats.k_fully_functional[0]),
+        degenerate=bool(stats.degenerate[0]))

@@ -4,7 +4,9 @@ One cell = one (n, kernel, psi, h, d, alternative) coordinate; R
 replications per cell, each replication an independent simulate -> test
 run.  Per-replication RNG streams derive from (master seed, cell index,
 replication index), so any cell can be reproduced in isolation and results
-do not depend on scheduling.
+do not depend on scheduling.  A cell runs its replications in chunks of
+_CHUNK through the pipeline's batched kernels; every number equals that of
+running the replications one at a time.
 """
 
 from __future__ import annotations
@@ -18,9 +20,14 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .cusum import TestConfig, run_test
+from .cusum import TestConfig, cusum_stats, run_test
 from .simulate import (Far1Simulator, SimSpec, calibrate_kernel, make_change,
                        parse_key_values)
+
+
+# Replications per batch.  Larger chunks gain little more speed and raise
+# the peak memory of a cell.
+_CHUNK = 16
 
 
 def _parse_bool(text: str) -> bool:
@@ -185,19 +192,33 @@ def _replicate(coords: CellCoords, spec: SimSpec, cfg: TestConfig,
     replications = settings.replications
     rejects = 0
     khats: list[float] = []
-    for rep in range(replications):
-        stream = (settings.seed, coords.index, rep)
+    for first in range(0, replications, _CHUNK):
+        streams = [(settings.seed, coords.index, rep)
+                   for rep in range(first, min(first + _CHUNK, replications))]
         try:
-            sample = sim.generate(stream)
-            res = run_test(sample, cfg)
-        except Exception as exc:
-            return CellResult(
-                coords=coords, replications=replications, completed=rep,
-                reject_rate=math.nan, se=math.nan, khat_mean=math.nan,
-                khat_median=math.nan, seconds=timer() - start,
-                error=f"replication {rep} (stream {stream}) failed: {exc}")
-        rejects += res.reject
-        khats.append(res.k_hat_standardized / coords.n)
+            stats = cusum_stats(sim.generate(streams), cfg)
+            outcomes = list(zip(
+                (stats.statistic > stats.critical_value).tolist(),
+                stats.k_standardized.tolist()))
+        except Exception:
+            # Run the chunk again one replication at a time, so that the
+            # first failing replication reports its own error.
+            outcomes = []
+            for stream in streams:
+                try:
+                    res = run_test(sim.generate(stream), cfg)
+                except Exception as exc:
+                    return CellResult(
+                        coords=coords, replications=replications,
+                        completed=stream[2], reject_rate=math.nan,
+                        se=math.nan, khat_mean=math.nan, khat_median=math.nan,
+                        seconds=timer() - start,
+                        error=f"replication {stream[2]} (stream {stream}) "
+                              f"failed: {exc}")
+                outcomes.append((res.reject, res.k_hat_standardized))
+        for reject, k_hat in outcomes:
+            rejects += reject
+            khats.append(k_hat / coords.n)
     p_hat = rejects / replications
     return CellResult(
         coords=coords, replications=replications, completed=replications,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, Curve, FunctionalSample
+from .basis import Basis, FunctionalSample
 
 
 def _plain(x: np.ndarray) -> np.ndarray:
@@ -80,13 +80,14 @@ def _require_orthonormal(sample: FunctionalSample) -> None:
 
 
 def lag_cov(sample: FunctionalSample, r: int) -> np.ndarray:
-    """Lag-r autocovariance matrix (1/n) sum_{i<=n-r} a_i a_{i+r}' (centered)."""
+    """Lag-r autocovariance matrix (1/n) sum_{i<=n-r} a_i a_{i+r}' (centered),
+    one per sample of a batch."""
     _require_orthonormal(sample)
     n = len(sample)
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n = {n}, got r = {r}")
     a = sample.centered()
-    return a[:n - r].T @ a[r:] / n
+    return a[..., :n - r, :].mT @ a[..., r:, :] / n
 
 
 def default_bandwidth(n: int) -> int:
@@ -97,38 +98,41 @@ def default_bandwidth(n: int) -> int:
 
 
 def _abs_sorted_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh, then |.| on eigenvalues with a joint stable descending re-sort
-    and the largest-magnitude-coefficient-positive sign convention."""
+    """eigh of each matrix of a stack, then |.| on eigenvalues with a joint
+    stable descending re-sort and the largest-magnitude-coefficient-positive
+    sign convention.
+
+    Each matrix of eigenvectors is column-major, the layout a column
+    selection of one eigh result has; the rounding of the scores product
+    depends on it.
+    """
     vals, vecs = np.linalg.eigh(c)
     avals = np.abs(vals)
-    order = np.argsort(-avals, kind="stable")
-    avals = avals[order]
-    vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    order = np.argsort(-avals, axis=-1, kind="stable")
+    avals = np.take_along_axis(avals, order, axis=-1)
+    vecs = np.take_along_axis(vecs.mT, order[..., None], axis=-2).mT
+    lead = np.argmax(np.abs(vecs), axis=-2)
+    flip = np.take_along_axis(vecs, lead[..., None, :], axis=-2) < 0
+    np.negative(vecs, out=vecs, where=flip)
     return avals, vecs
 
 
 @dataclass(frozen=True)
 class LrCovEstimate:
-    """Long-run covariance matrix with its (abs-convention) eigenstructure."""
+    """Long-run covariance matrix with its (abs-convention) eigenstructure;
+    a batch stacks each array on leading axes.  Column j of `eigvecs` holds
+    the coefficients of eigenfunction j in `basis`."""
 
     cov: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
     basis: Basis
-    h: float
-    kernel_kind: str
-
-    def eigenfunction(self, j: int) -> Curve:
-        return Curve(self.eigvecs[:, j], self.basis)
 
 
 def lrcov_estimate(sample: FunctionalSample, kernel: LagWindowKernel,
                    h: float) -> LrCovEstimate:
-    """Lag-window long-run covariance estimate with eigenstructure.
+    """Lag-window long-run covariance estimate with eigenstructure, one per
+    sample of a batch.
 
     h = 0 is the no-correction convention: C equals the lag-0 covariance.
     The lag sum is truncated at floor(h) since the window vanishes beyond
@@ -148,8 +152,7 @@ def lrcov_estimate(sample: FunctionalSample, kernel: LagWindowKernel,
             if w == 0.0:
                 continue
             cr = lag_cov(sample, r)
-            c = c + w * (cr + cr.T)
-    c = 0.5 * (c + c.T)
+            c = c + w * (cr + cr.mT)
+    c = 0.5 * (c + c.mT)
     vals, vecs = _abs_sorted_eigh(c)
-    return LrCovEstimate(cov=c, eigvals=vals, eigvecs=vecs, basis=sample.basis,
-                         h=float(h), kernel_kind=kernel.kind)
+    return LrCovEstimate(cov=c, eigvals=vals, eigvecs=vecs, basis=sample.basis)

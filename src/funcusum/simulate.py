@@ -71,13 +71,27 @@ def brownian_bridge_values(grid: Grid, rng: np.random.Generator,
     B(t_k) = W(t_k) - t_k W(1) for a standard Wiener path W built from
     independent Gaussian increments over the grid spacings.  Shape (size, T).
     """
+    return _bridges(grid, [rng], size)[0]
+
+
+def _bridges(grid: Grid, rngs: list[np.random.Generator],
+             size: int) -> np.ndarray:
+    """brownian_bridge_values for each generator, stacked: (len(rngs), size, T).
+
+    Each generator draws its own increments into the stack; the scaling and
+    the cumulative sums then run once on the whole stack, in place.
+    """
     pts = grid.points
-    dt = np.diff(pts)
-    incr = rng.normal(0.0, 1.0, size=(size, dt.size)) * np.sqrt(dt)
-    w = np.cumsum(incr, axis=1)
-    out = np.zeros((size, pts.size))
-    out[:, 1:] = w
-    out -= pts[None, :] * out[:, -1:]
+    out = np.zeros((len(rngs), size, pts.size))
+    draws = np.empty((size, pts.size - 1))
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=draws)
+        out[b, :, 1:] = draws
+    w = out[..., 1:]
+    w *= np.sqrt(np.diff(pts))
+    np.cumsum(w, axis=-1, out=w)
+    for b in range(len(rngs)):  # one sample at a time keeps the temporary small
+        out[b] -= pts * out[b, :, -1:]
     return out
 
 
@@ -242,26 +256,33 @@ class Far1Simulator:
         else:
             self._delta_coeffs = None
 
-    def generate(self, seed: int | tuple[int, ...] | None = None,
+    def generate(self, seed: int | tuple[int, ...] | list | None = None,
                  ) -> FunctionalSample:
-        """One sample of spec.n curves; `seed` overrides spec.seed."""
+        """One sample of spec.n curves; `seed` overrides spec.seed.
+
+        A list of seeds draws a batch, one sample per seed from that seed's
+        own stream, stacked on a leading axis; sample b equals
+        generate(seed[b]) bitwise.
+        """
         spec = self.spec
-        if seed is None:
-            seed = spec.seed
-        seq = np.random.SeedSequence(seed)
-        rng = np.random.default_rng(seq)
+        batch = isinstance(seed, list)
+        seeds = seed if batch else [spec.seed if seed is None else seed]
+        rngs = [np.random.default_rng(np.random.SeedSequence(s))
+                for s in seeds]
         total = spec.burn_in + spec.n
-        shocks = brownian_bridge_values(self.grid, rng, size=total)
-        shock_coeffs = shocks @ self._smoother.T
-        coeffs = np.empty((total, spec.basis_size))
-        state = np.zeros(spec.basis_size)
-        step = self._step
-        for i in range(total):
-            state = step @ state + shock_coeffs[i]
-            coeffs[i] = state
-        coeffs = coeffs[spec.burn_in:]
+        # Shock coefficients, time-major: the batch's states at one step
+        # are contiguous.  The AR recursion then runs over them in place,
+        # one step for the whole batch at a time.
+        coeffs = np.empty((total, len(seeds), spec.basis_size))
+        np.matmul(_bridges(self.grid, rngs, total), self._smoother.T,
+                  out=coeffs.transpose(1, 0, 2))
+        prod = np.zeros((len(seeds), spec.basis_size, 1))  # step @ state
+        for state in coeffs:
+            state += prod[..., 0]
+            np.matmul(self._step, state[..., None], out=prod)
+        coeffs = coeffs[spec.burn_in:].transpose(1, 0, 2)
         if self._delta_coeffs is not None:
             kstar = math.floor(spec.n * spec.change.theta)
-            coeffs[kstar:] += self._delta_coeffs
-        return FunctionalSample(coeffs, self.basis)
+            coeffs[:, kstar:] += self._delta_coeffs
+        return FunctionalSample(coeffs if batch else coeffs[0], self.basis)
 

@@ -20,15 +20,16 @@ import math
 import numpy as np
 import pytest
 
-from funcusum.basis import FunctionalSample, change_basis, fourier_basis, write_curves_csv
+from funcusum.basis import FunctionalSample, fourier_basis, write_curves_csv
 from funcusum.basis import Grid
 from funcusum.cli import main
+from funcusum.cusum import TestConfig as Config
 from funcusum.cusum import (
     _fully_functional_max,
-    change_estimates,
     gumbel_critical,
     gumbel_pvalue,
     normalizers,
+    run_test,
     scores,
     statistic,
     vostrikova_critical,
@@ -131,12 +132,12 @@ def test_criterion_5_change_location_consistency(acceptance_report):
     spec = SimSpec(n=300, kernel=calibrate_kernel("wiener", 0.2),
                    change=make_change("sin", 0.5))
     sim = Far1Simulator(spec)
-    f25 = fourier_basis(25)
+    cfg = Config(d=2, h=4.0)
     devs = np.zeros((500, 3))
     for rep in range(500):
-        work = change_basis(sim.generate(seed=(46, rep)), f25)
-        est = lrcov_estimate(work, PLAIN, 4.0)
-        ce = change_estimates(work, est, 2)
+        res = run_test(sim.generate(seed=(46, rep)), cfg)
+        ce = (res.k_hat_standardized, res.k_hat_unstandardized,
+              res.k_hat_fully_functional)
         devs[rep] = [abs(k / 300 - 0.5) for k in ce]
     medians = np.median(devs, axis=0)
     ok = bool(np.all(medians <= 0.03))
@@ -179,8 +180,7 @@ def test_criterion_7_structural_invariants(acceptance_report):
     # Sign flip of an eigenfunction leaves the statistic bitwise unchanged.
     flipped = LrCovEstimate(cov=est.cov, eigvals=est.eigvals,
                             eigvecs=est.eigvecs * np.array([-1, 1, -1, 1, 1, -1, 1, -1]),
-                            basis=est.basis, h=est.h,
-                            kernel_kind=est.kernel_kind)
+                            basis=est.basis)
     assert statistic(scores(s, flipped, 3), 60) == base
 
     # Scale invariance of the standardized statistic.

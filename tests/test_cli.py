@@ -405,6 +405,37 @@ class TestReplayRecordChecks:
                 "type: '2'") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p.update(fourier="8"),
+         "preprocess key 'fourier' has the wrong type: '8'"),
+        (lambda p: p.update(keep=[1, 2, 3]),
+         "preprocess key 'keep' has the wrong type: [1, 2, 3]"),
+        (lambda p: p.update(bogus=1), "unknown preprocess key 'bogus'"),
+        (lambda p: p.update(basis_smooth=[25, 4]),
+         "preprocess key 'basis_smooth' has the wrong type: [25, 4]"),
+        (lambda p: p["basis_smooth"].update(size="25"),
+         "preprocess basis_smooth key 'size' has the wrong type: '25'"),
+        (lambda p: p["basis_smooth"].update(knots=3),
+         "unknown preprocess basis_smooth key 'knots'"),
+    ], ids=["fourier_string", "keep_three", "unknown_key",
+            "basis_smooth_list", "basis_smooth_size_string",
+            "basis_smooth_unknown_key"])
+    def test_bad_preprocess_record_exit_2(self, tmp_path, capsys, edit,
+                                          message):
+        path = tmp_path / "noise.csv"
+        write_noise_csv(path)
+        report = tmp_path / "report.json"
+        assert main(["test", str(path), "--d", "2", "--keep", "1..30",
+                     "--out", str(report)]) == 0
+        capsys.readouterr()
+        data = json.loads(report.read_text())
+        edit(data["manifest"]["preprocess"])
+        report.write_text(json.dumps(data))
+        out = tmp_path / "replayed.json"
+        assert main(["test", "--replay", str(report), "--out", str(out)]) == 2
+        assert f"input error: {report}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["test", "simulate", "tables"])
 def test_replay_of_non_object_json_exit_2(tmp_path, capsys, command):

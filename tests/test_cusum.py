@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcusum.basis import (FunctionalSample, _conversion_matrix, change_basis,
+from funcusum.basis import (Curve, FunctionalSample, _conversion_matrix,
                             fourier_basis, inner_product)
 from funcusum.cusum import (
     ApproximationFailureError,
     ScoreMatrix,
     _fully_functional_max,
     _weights,
-    change_estimates,
     gumbel_critical,
     gumbel_pvalue,
     normalizers,
@@ -41,7 +40,7 @@ def identity_estimate(basis):
     """LrCovEstimate whose eigenfunctions are the basis itself."""
     j = basis.size
     return LrCovEstimate(cov=np.eye(j), eigvals=np.ones(j), eigvecs=np.eye(j),
-                         basis=basis, h=0.0, kernel_kind="plain")
+                         basis=basis)
 
 
 def naive_scores(sample, est, d):
@@ -54,7 +53,7 @@ def naive_scores(sample, est, d):
             acc = 0.0
             for i in range(k):
                 acc += inner_product(sample.curve(i) - mean,
-                                     est.eigenfunction(r))
+                                     Curve(est.eigvecs[:, r], est.basis))
             out[k - 1, r] = acc / math.sqrt(n)
     return out
 
@@ -339,6 +338,14 @@ class TestMemo:
         assert cold == warm and cold.error is None
 
 
+def k_hats(sample, cfg):
+    """run_test's three change locators: standardized, unstandardized and
+    fully functional."""
+    res = run_test(sample, cfg)
+    return (res.k_hat_standardized, res.k_hat_unstandardized,
+            res.k_hat_fully_functional)
+
+
 class TestChangeEstimates:
     def brute_force_k(self, sample):
         """Unweighted-by-hand argmax of the fully functional objective."""
@@ -359,27 +366,22 @@ class TestChangeEstimates:
         coeffs = np.zeros((n, 5))
         coeffs[m:] = np.array([1.0, -0.5, 0.2, 0.0, 0.3])
         s = FunctionalSample(coeffs, fourier_basis(5))
-        est = lrcov_estimate(s, PLAIN, 0.0)
         for d in (1, 2):
-            ce = change_estimates(s, est, d)
-            assert ce == (m, m, m)
+            assert k_hats(s, Config(d=d, h=0.0, fourier_size=5)) == (m, m, m)
         assert self.brute_force_k(s) == m
 
     def test_constant_data_tie_rule(self):
         s = FunctionalSample(np.ones((12, 3)), fourier_basis(3))
-        est = identity_estimate(fourier_basis(3))
-        assert change_estimates(s, est, 2) == (1, 1, 1)
+        assert k_hats(s, Config(d=2, h=0.0, fourier_size=3)) == (1, 1, 1)
 
     def test_consistency_under_weak_dependence(self):
         spec = SimSpec(n=300, kernel=calibrate_kernel("wiener", 0.2),
                        change=make_change("sin", 0.5))
         sim = Far1Simulator(spec)
-        f25 = fourier_basis(25)
+        cfg = Config(d=2, h=3.0)
         devs = np.zeros((500, 3))
         for rep in range(500):
-            work = change_basis(sim.generate(seed=(888, rep)), f25)
-            est = lrcov_estimate(work, PLAIN, 3.0)
-            ce = change_estimates(work, est, 2)
+            ce = k_hats(sim.generate(seed=(888, rep)), cfg)
             devs[rep] = [abs(k / 300 - 0.5) for k in ce]
         assert np.all(np.median(devs, axis=0) <= 0.03)
 
@@ -407,8 +409,7 @@ class TestRunTest:
         est = lrcov_estimate(s, PLAIN, 2.0)
         flipped = LrCovEstimate(cov=est.cov, eigvals=est.eigvals,
                                 eigvecs=est.eigvecs * np.array([-1, 1, -1, 1, 1, -1]),
-                                basis=est.basis, h=est.h,
-                                kernel_kind=est.kernel_kind)
+                                basis=est.basis)
         assert statistic(scores(s, est, 3), 40) == statistic(scores(s, flipped, 3), 40)
 
     def test_scale_invariance_of_standardized_statistic(self):

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funcusum.basis import FunctionalSample
+from funcusum.cusum import run_test
 from funcusum.harness import (
+    _CHUNK,
     CSV_COLUMNS,
     CellCoords,
     ExperimentGrid,
@@ -18,9 +21,10 @@ from funcusum.harness import (
     format_table_panels,
     grid_sidecar,
     run_cell,
+    _cell_setup,
     run_grid,
 )
-from funcusum.simulate import SimSpec
+from funcusum.simulate import Far1Simulator, SimSpec
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -152,6 +156,34 @@ class TestRunCell:
         assert "replication 0" in res.error and "(11, 4, 0)" in res.error
         assert res.completed == 0
         assert math.isnan(res.reject_rate) and math.isnan(res.se)
+
+    def test_failing_replication_inside_a_chunk(self, monkeypatch):
+        # Replication _CHUNK + 3 gets a nan coefficient, so its chunk fails
+        # as a batch; the cell must still report that replication, with the
+        # error run_test raises on it alone, and count the ones before it.
+        g = ExperimentGrid(replications=2 * _CHUNK, seed=11, burn_in=10)
+        c = CellCoords(2, 40, "wiener", 0.4, 2.0, 2, False)
+        bad = (11, 2, _CHUNK + 3)
+        generate = Far1Simulator.generate
+
+        def poisoned(self, seed=None):
+            sample = generate(self, seed)
+            batch = isinstance(seed, list)
+            if bad not in (seed if batch else [seed]):
+                return sample
+            coeffs = sample.coeffs.copy()
+            (coeffs[seed.index(bad)] if batch else coeffs)[7, 3] = np.nan
+            return FunctionalSample(coeffs, sample.basis)
+
+        monkeypatch.setattr(Far1Simulator, "generate", poisoned)
+        spec, cfg = _cell_setup(c, g)
+        with pytest.raises(Exception) as alone:
+            run_test(Far1Simulator(spec).generate(bad), cfg)
+        res = run_cell(c, g, timer=FROZEN_TIMER)
+        assert res.completed == _CHUNK + 3
+        assert res.error == (f"replication {_CHUNK + 3} (stream {bad}) "
+                             f"failed: {alone.value}")
+        assert math.isnan(res.reject_rate) and math.isnan(res.khat_median)
 
     def test_size_inflation_under_strong_dependence(self):
         # undersized bandwidth h=1 leaves serial dependence uncorrected
