@@ -1,8 +1,9 @@
 """Finite-dimensional function representation on [0,1].
 
 Curves are stored as coefficient vectors with respect to a fixed basis
-(orthonormal Fourier or B-spline).  All inner products are taken in
-L^2[0,1] and reduce to quadratic forms in the basis Gram matrix.
+(orthonormal Fourier or B-spline).  The test works on Fourier
+coefficients, where the L^2[0,1] inner product is the dot product, so a
+B-spline sample is converted to Fourier before any inner product is taken.
 """
 
 from __future__ import annotations
@@ -14,16 +15,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BSpline
 
 
 # Conversion matrices kept by change_basis's per-process memo.
 _MEMO_SIZE = 64
-
-
-class BasisMismatchError(ValueError):
-    """Operands are represented in different bases."""
 
 
 class SingularFitError(ValueError):
@@ -106,20 +102,16 @@ def _bspline_design(x: np.ndarray, knots: np.ndarray, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Basis:
-    """A fixed system of `size` basis functions on [0,1] with its Gram matrix."""
+    """A fixed system of `size` basis functions on [0,1]."""
 
     kind: str
     size: int
-    gram: np.ndarray
     order: int | None = None
     knots: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gram", _readonly(self.gram))
         if self.knots is not None:
             object.__setattr__(self, "knots", _readonly(self.knots))
-        if self.gram.shape != (self.size, self.size):
-            raise ValueError("gram matrix shape does not match basis size")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Design matrix of shape (len(x), size)."""
@@ -144,37 +136,21 @@ class Basis:
 
 
 def fourier_basis(size: int) -> Basis:
-    """Orthonormal Fourier basis; the Gram matrix is the identity exactly."""
+    """Orthonormal Fourier basis (see _fourier_design)."""
     if size < 1:
         raise ValueError("basis size must be positive")
-    return Basis(kind="fourier", size=size, gram=np.eye(size))
+    return Basis(kind="fourier", size=size)
 
 
 def bspline_basis(size: int, order: int = 4) -> Basis:
-    """B-spline basis on equidistant clamped knots.
-
-    The Gram matrix is computed by Gauss-Legendre quadrature on each knot
-    span (10 nodes per span, exact for the polynomial integrands involved)
-    and is symmetric positive definite.
-    """
+    """B-spline basis of `order` (degree order - 1) on equidistant clamped
+    knots."""
     if order < 1:
         raise ValueError("order must be positive")
     if size < order:
         raise ValueError(f"need size >= order, got size={size} order={order}")
-    knots = _bspline_knots(size, order)
-    xg, wg = leggauss(10)
-    spans = np.unique(knots)
-    nodes = []
-    weights = []
-    for a, b in zip(spans[:-1], spans[1:]):
-        nodes.append((b - a) / 2.0 * xg + (a + b) / 2.0)
-        weights.append((b - a) / 2.0 * wg)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    design = _bspline_design(nodes, knots, order)
-    gram = design.T @ (weights[:, None] * design)
-    gram = 0.5 * (gram + gram.T)
-    return Basis(kind="bspline", size=size, gram=gram, order=order, knots=knots)
+    return Basis(kind="bspline", size=size, order=order,
+                 knots=_bspline_knots(size, order))
 
 
 @dataclass(frozen=True)
@@ -192,28 +168,6 @@ class Curve:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.basis.evaluate(np.atleast_1d(x)) @ self.coeffs
-
-    def norm(self) -> float:
-        return math.sqrt(max(inner_product(self, self), 0.0))
-
-    def __add__(self, other: "Curve") -> "Curve":
-        _check_same_basis(self.basis, other.basis)
-        return Curve(self.coeffs + other.coeffs, self.basis)
-
-    def __sub__(self, other: "Curve") -> "Curve":
-        _check_same_basis(self.basis, other.basis)
-        return Curve(self.coeffs - other.coeffs, self.basis)
-
-    def __mul__(self, scalar: float) -> "Curve":
-        return Curve(self.coeffs * float(scalar), self.basis)
-
-    __rmul__ = __mul__
-
-
-def _check_same_basis(a: Basis, b: Basis) -> None:
-    if a != b:
-        raise BasisMismatchError(
-            f"bases differ: {a.kind}(size={a.size}) vs {b.kind}(size={b.size})")
 
 
 @dataclass(frozen=True)
@@ -240,15 +194,9 @@ class FunctionalSample:
         """The number of curves n in the sample (in each sample of a batch)."""
         return self.coeffs.shape[-2]
 
-    def curve(self, i: int) -> Curve:
-        return Curve(self.coeffs[i], self.basis)
-
     def evaluate(self, grid: Grid) -> np.ndarray:
         """Values matrix of shape (n, len(grid))."""
         return self.coeffs @ self.basis.evaluate(grid.points).T
-
-    def mean(self) -> Curve:
-        return Curve(self.coeffs.mean(axis=0), self.basis)
 
     def centered(self) -> np.ndarray:
         """Coefficients minus their sample mean, rounding residue snapped to 0.
@@ -268,23 +216,6 @@ class FunctionalSample:
         c[np.abs(c) <= tol] = 0.0
         c.setflags(write=False)
         return c
-
-
-def inner_product(u: Curve, v: Curve) -> float:
-    """L^2 inner product <u, v> = u' G v in the shared basis.
-
-    Symmetrized so that inner_product(u, v) == inner_product(v, u) exactly
-    (bitwise), not just up to rounding.
-    """
-    _check_same_basis(u.basis, v.basis)
-    if u.basis.is_orthonormal:
-        a = float(u.coeffs @ v.coeffs)
-        b = float(v.coeffs @ u.coeffs)
-        return 0.5 * (a + b)
-    g = u.basis.gram
-    a = float(u.coeffs @ (g @ v.coeffs))
-    b = float(v.coeffs @ (g @ u.coeffs))
-    return 0.5 * (a + b)
 
 
 def _fit_matrix(values: np.ndarray, grid: Grid, basis: Basis) -> np.ndarray:

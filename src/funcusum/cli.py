@@ -39,6 +39,9 @@ _PREPROCESS_FIELDS = {"drop_indices": tuple[int, ...],
                       "basis_smooth": dict, "fourier": int,
                       "rescaled_grid": bool}
 _BASIS_SMOOTH_FIELDS = {"size": int, "order": int}
+# Value types of the test report manifest entries cmd_test reads as they
+# are; the preprocess and test_config records are checked key by key.
+_MANIFEST_FIELDS = {"input": str, "test_config": dict}
 
 
 class DataError(ValueError):
@@ -105,19 +108,14 @@ def _parse_keep(text: str) -> tuple[int, int]:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
         raise DataError(f"--keep expects integers, got {text!r}") from None
-    if lo < 1 or hi < lo:
-        raise DataError(f"--keep needs 1 <= i <= j, got {text!r}")
     return lo, hi
 
 
 def _parse_drop(text: str) -> tuple[int, ...]:
     try:
-        idx = tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise DataError(f"--drop-indices expects integers, got {text!r}") from None
-    if any(i < 1 for i in idx):
-        raise DataError("--drop-indices are 1-based, must be >= 1")
-    return idx
 
 
 def _parse_basis_smooth(text: str) -> tuple[int, int]:
@@ -139,19 +137,23 @@ def preprocess(values: np.ndarray, *, drop: tuple[int, ...] = (),
     --drop-indices removes rows first (1-based, original file order); --keep
     then selects an inclusive 1-based range of the remaining rows.  The
     log-ratio transform maps each curve to log(X(t)/X(0)) and requires all
-    values positive; violations report the original file row.
+    values positive; violations report the original file row.  A fresh run
+    and a replay both select rows here, so both go through these checks.
     """
     n = values.shape[0]
     rows = np.arange(n)
     if drop:
-        bad = [i for i in drop if i > n]
+        bad = [i for i in drop if not 1 <= i <= n]
         if bad:
-            raise DataError(f"--drop-indices out of range (n={n}): {bad}")
+            raise DataError(
+                f"--drop-indices out of range (1-based, n={n}): {bad}")
         mask = np.ones(n, dtype=bool)
         mask[[i - 1 for i in drop]] = False
         rows = rows[mask]
     if keep is not None:
         lo, hi = keep
+        if not 1 <= lo <= hi:
+            raise DataError(f"--keep needs 1 <= i <= j, got {lo}..{hi}")
         if hi > rows.size:
             raise DataError(
                 f"--keep {lo}..{hi} out of range, only {rows.size} curves "
@@ -204,6 +206,8 @@ def cmd_test(args) -> int:
                            args.replay, "preprocess")
     _checked_record(prep["basis_smooth"], _BASIS_SMOOTH_FIELDS, args.replay,
                     "preprocess basis_smooth")
+    _checked_record({key: manifest[key] for key in _MANIFEST_FIELDS},
+                    _MANIFEST_FIELDS, args.replay, "manifest")
     data = read_curves_csv(manifest["input"])
     prep["rescaled_grid"] = data.rescaled
     values = preprocess(data.values, drop=prep["drop_indices"],

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .cusum import TestConfig, cusum_stats, run_test
+from .cusum import TestConfig, cusum_stats, run_test, vostrikova_critical
 from .simulate import (Far1Simulator, SimSpec, calibrate_kernel, make_change,
                        parse_key_values)
 
@@ -163,7 +163,8 @@ class CellResult:
 
 def _cell_setup(coords: CellCoords,
                 settings: ExperimentGrid) -> tuple[SimSpec, TestConfig]:
-    """SimSpec and TestConfig of one cell; ValueError on any bad setting."""
+    """SimSpec and TestConfig of one cell; ValueError on any bad setting,
+    ApproximationFailureError for an alpha with no Vostrikova root."""
     change = None
     if coords.alternative:
         change = make_change(settings.change_shape, settings.theta,
@@ -181,6 +182,9 @@ def _cell_setup(coords: CellCoords,
                      lag_kernel=settings.lag_kernel, alpha=settings.alpha,
                      critical_method=settings.critical_method,
                      fourier_size=settings.fourier_size)
+    if cfg.critical_method == "vostrikova":
+        # Memoised, so the replications read the same value.
+        vostrikova_critical(cfg.alpha, coords.n, cfg.d)
     return spec, cfg
 
 
@@ -236,7 +240,8 @@ def run_cell(coords: CellCoords, settings: ExperimentGrid,
     Replication r uses the stream (settings.seed, coords.index, r).  A
     failing replication aborts the cell; its stream tuple is recorded in
     `error` and the aggregate fields are NaN.  A bad cell setting raises
-    ValueError before any replication runs.
+    ValueError, and an alpha with no Vostrikova root raises
+    ApproximationFailureError, before any replication runs.
     """
     return _replicate(coords, *_cell_setup(coords, settings), settings, timer)
 
@@ -248,7 +253,8 @@ def run_grid(grid: ExperimentGrid,
     """Evaluate every cell; failed cells are reported, the run continues.
 
     Every cell is set up before the first one runs, so a bad setting in
-    any cell raises ValueError before any replication has run.  Results
+    any cell raises ValueError (ApproximationFailureError for an alpha with
+    no Vostrikova root) before any replication has run.  Results
     appear in cell-index order regardless of execution schedule.
     """
     cells = grid.cells()

@@ -64,22 +64,16 @@ def calibrate_kernel(kind: str, psi: float) -> IntegralKernel:
     return IntegralKernel(kind=kind, psi=psi, scale=psi / math.sqrt(sq_norm))
 
 
-def brownian_bridge_values(grid: Grid, rng: np.random.Generator,
-                           size: int = 1) -> np.ndarray:
-    """Brownian bridge paths at grid points, exact finite-dimensional law.
-
-    B(t_k) = W(t_k) - t_k W(1) for a standard Wiener path W built from
-    independent Gaussian increments over the grid spacings.  Shape (size, T).
-    """
-    return _bridges(grid, [rng], size)[0]
-
-
 def _bridges(grid: Grid, rngs: list[np.random.Generator],
              size: int) -> np.ndarray:
-    """brownian_bridge_values for each generator, stacked: (len(rngs), size, T).
+    """`size` Brownian bridge paths at grid points from each generator,
+    stacked: shape (len(rngs), size, T).  The law is the exact
+    finite-dimensional one.
 
-    Each generator draws its own increments into the stack; the scaling and
-    the cumulative sums then run once on the whole stack, in place.
+    B(t_k) = W(t_k) - t_k W(1) for a standard Wiener path W built from
+    independent Gaussian increments over the grid spacings.  Each generator
+    draws its own increments into the stack; the scaling and the cumulative
+    sums then run once on the whole stack, in place.
     """
     pts = grid.points
     out = np.zeros((len(rngs), size, pts.size))

@@ -4,7 +4,8 @@ The acceptance tests register one summary line each; the terminal-summary
 hook prints them after the run so the gate status is visible even for
 passing tests (whose stdout pytest would otherwise swallow).  The bridge
 supremum Monte Carlo is session-scoped because two test modules compare
-against the same reference distribution.
+against the same reference distribution.  `dense_gram` is the L2 oracle
+the tests use for inner products and norms in a basis.
 """
 
 import math
@@ -16,6 +17,16 @@ _acceptance_lines: list[str] = []
 
 BRIDGE_PATHS = 200_000
 BRIDGE_GRID = 2000
+
+
+def dense_gram(basis, num_points=2001):
+    """Gram matrix <b_i, b_j> of a basis on [0,1] by the trapezoid rule on
+    `num_points` equidistant points."""
+    t = np.linspace(0.0, 1.0, num_points)
+    design = basis.evaluate(t)
+    w = np.full(num_points, 1.0 / (num_points - 1))
+    w[0] = w[-1] = 0.5 / (num_points - 1)
+    return design.T @ (w[:, None] * design)
 
 
 @pytest.fixture(scope="session")

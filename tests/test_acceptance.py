@@ -16,12 +16,13 @@ fails honestly; the bandwidth-sensitivity clause it also carries does hold.
 
 import json
 import math
+import pathlib
+import types
 
 import numpy as np
 import pytest
 
 from funcusum.basis import FunctionalSample, fourier_basis, write_curves_csv
-from funcusum.basis import Grid
 from funcusum.cli import main
 from funcusum.cusum import TestConfig as Config
 from funcusum.cusum import (
@@ -38,6 +39,8 @@ from funcusum.harness import CellCoords, ExperimentGrid, run_cell
 from funcusum.lrcov import LagWindowKernel, LrCovEstimate, _abs_sorted_eigh, lrcov_estimate
 from funcusum.simulate import Far1Simulator, SimSpec, calibrate_kernel, make_change
 
+from conftest import dense_gram
+
 PLAIN = LagWindowKernel.from_name("plain")
 
 # Reference Monte Carlo rejection rates (percent) for the gaussian-kernel
@@ -50,6 +53,19 @@ REFERENCE_SIZE_GAUSSIAN = {
 
 # Reference sizes for the wiener kernel at n = 300, psi = 0.8, h = 1.
 REFERENCE_SIZE_WIENER_H1 = {1: 33.4, 2: 25.5}
+
+LOAD_PROFILE = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+                / "synthetic_load_profile.py")
+
+
+def load_profile_script() -> types.ModuleType:
+    """The README's load-profile demo, read and executed in memory so that
+    criterion 8 runs its generator and nothing is written next to it."""
+    module = types.ModuleType("synthetic_load_profile")
+    module.__file__ = str(LOAD_PROFILE)
+    exec(compile(LOAD_PROFILE.read_text(), str(LOAD_PROFILE), "exec"),
+         module.__dict__)
+    return module
 
 
 def _cell_rate(n, kernel, psi, h, d, alternative, reps, seed):
@@ -219,7 +235,7 @@ def test_criterion_7_structural_invariants(acceptance_report):
     assert np.max(np.abs(recon - c)) <= 1e-8
 
     # Working basis is orthonormal in L2.
-    assert np.max(np.abs(fourier_basis(25).gram - np.eye(25))) <= 1e-8
+    assert np.max(np.abs(dense_gram(fourier_basis(25)) - np.eye(25))) <= 1e-8
 
     # Wiener kernel calibration: operator norm psi means scale psi * sqrt(6).
     assert calibrate_kernel("wiener", 0.5).scale == pytest.approx(
@@ -235,15 +251,9 @@ def test_criterion_8_cli_pipeline_on_synthetic_load_profile(
         tmp_path, acceptance_report, capsys):
     """A 161-curve series with a 0.3-norm level shift at index 115 is flagged
     by the command-line pipeline at the 1% level with the locator within 3."""
-    grid = Grid(np.linspace(0.0, 1.0, 97))
-    spec = SimSpec(n=161, kernel=calibrate_kernel("wiener", 0.4), seed=(99, 7),
-                   grid_points=97, basis_size=12, basis_order=4)
-    noise = Far1Simulator(spec).generate()
-    delta = make_change("constant", theta=115 / 161, amplitude=0.3,
-                        grid_points=97, basis_size=12, basis_order=4).delta
-    coeffs = 0.15 * noise.coeffs
-    coeffs[115:] += delta.coeffs
-    values = FunctionalSample(coeffs, noise.basis).evaluate(grid)
+    grid, values = load_profile_script().build_profile(
+        n=161, break_index=115, shift_norm=0.3, noise_scale=0.15, psi=0.4,
+        seed=99)
     csv_path = tmp_path / "profile.csv"
     report_path = tmp_path / "report.json"
     write_curves_csv(str(csv_path), values, grid)

@@ -21,8 +21,7 @@ from funcusum.harness import (_CHUNK, CellCoords, CellResult, ExperimentGrid,
                               _cell_setup, run_cell)
 from funcusum.lrcov import (LagWindowKernel, _abs_sorted_eigh, lag_cov,
                             lrcov_estimate)
-from funcusum.simulate import (Far1Simulator, SimSpec, _bridges,
-                               brownian_bridge_values, calibrate_kernel)
+from funcusum.simulate import Far1Simulator, SimSpec, _bridges, calibrate_kernel
 
 SEEDS = [(5, 3, rep) for rep in range(_CHUNK + 1)]
 
@@ -112,7 +111,7 @@ def test_stacked_bridges_and_smoothing_into_time_major_layout():
     coeffs = np.empty((80, len(SEEDS), 25))
     np.matmul(stack, sim._smoother.T, out=coeffs.transpose(1, 0, 2))
     for b, rng in enumerate(rngs()):
-        one = brownian_bridge_values(sim.grid, rng, 80)
+        one = _bridges(sim.grid, [rng], 80)[0]
         assert np.array_equal(stack[b], one)
         assert np.array_equal(coeffs[:, b], one @ sim._smoother.T)
 

@@ -201,6 +201,18 @@ class TestCmdTest:
             main(["test", str(path), "--keep", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--keep", "0..5"], "--keep needs 1 <= i <= j, got 0..5"),
+        (["--drop-indices", "0"],
+         "--drop-indices out of range (1-based, n=40): [0]"),
+    ], ids=["keep_from_zero", "drop_zero"])
+    def test_index_out_of_range_exit_2(self, tmp_path, capsys, flags,
+                                       message):
+        path = tmp_path / "noise.csv"
+        write_noise_csv(path)
+        assert main(["test", str(path), *flags]) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
 
 class TestCmdSimulate:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -346,6 +358,18 @@ class TestCmdTables:
         assert not any(line.startswith("cell ") for line in err.splitlines())
         assert not out.exists()
 
+    def test_alpha_without_vostrikova_root_exit_3_before_any_cell(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG.replace("n = 30", "n = 60")
+                       .replace("d = 1", "d = 2") + "alpha = 0.95\n")
+        out = tmp_path / "cells.csv"
+        assert main(["tables", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: tail expansion peaks" in err
+        assert not any(line.startswith("cell ") for line in err.splitlines())
+        assert not out.exists()
+
     def test_progress_line_counts_cells(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(TABLES_CONFIG.replace("d = 1", "d = 1, 2"))
@@ -387,6 +411,32 @@ class TestReplayRecordChecks:
         assert main(["tables", "--replay", str(sidecar), "--out", str(out),
                      "--quiet"]) == 2
         assert f"input error: {sidecar}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m["preprocess"].update(drop_indices=[0]),
+         "--drop-indices out of range (1-based, n=40): [0]"),
+        (lambda m: m["preprocess"].update(keep=[0, 5]),
+         "--keep needs 1 <= i <= j, got 0..5"),
+        (lambda m: m.update(input=5),
+         "{report}: manifest key 'input' has the wrong type: 5"),
+        (lambda m: m.update(test_config=[1]),
+         "{report}: manifest key 'test_config' has the wrong type: [1]"),
+    ], ids=["drop_zero", "keep_from_zero", "input_number", "test_config_list"])
+    def test_bad_report_record_exit_2(self, tmp_path, capsys, edit, message):
+        # A replay goes through the checks of a fresh run.
+        path = tmp_path / "noise.csv"
+        write_noise_csv(path)
+        report = tmp_path / "report.json"
+        assert main(["test", str(path), "--d", "2", "--out", str(report)]) == 0
+        capsys.readouterr()
+        data = json.loads(report.read_text())
+        edit(data["manifest"])
+        report.write_text(json.dumps(data))
+        out = tmp_path / "replayed.json"
+        assert main(["test", "--replay", str(report), "--out", str(out)]) == 2
+        message = message.format(report=report)
+        assert f"input error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_string_test_config_d_exit_2(self, tmp_path, capsys):

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcusum.basis import (Curve, FunctionalSample, _conversion_matrix,
-                            fourier_basis, inner_product)
+from funcusum.basis import FunctionalSample, _conversion_matrix, fourier_basis
 from funcusum.cusum import (
     ApproximationFailureError,
     ScoreMatrix,
@@ -44,16 +43,17 @@ def identity_estimate(basis):
 
 
 def naive_scores(sample, est, d):
-    """Direct O(n^2 d) double summation through curve inner products."""
+    """Direct O(n^2 d) double summation of the L2 inner products
+    <X_i - mean, v_r>; in an orthonormal basis each is the dot product of
+    the coefficient vectors."""
     n = len(sample)
-    mean = sample.mean()
+    mean = sample.coeffs.mean(axis=0)
     out = np.zeros((n - 1, d))
     for k in range(1, n):
         for r in range(d):
             acc = 0.0
             for i in range(k):
-                acc += inner_product(sample.curve(i) - mean,
-                                     Curve(est.eigvecs[:, r], est.basis))
+                acc += float((sample.coeffs[i] - mean) @ est.eigvecs[:, r])
             out[k - 1, r] = acc / math.sqrt(n)
     return out
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcusum.basis import FunctionalSample
-from funcusum.cusum import run_test
+from funcusum.cusum import ApproximationFailureError, run_test
 from funcusum.harness import (
     _CHUNK,
     CSV_COLUMNS,
@@ -222,6 +222,19 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             run_grid(g, progress=seen.append, timer=FROZEN_TIMER)
         assert seen == []
+
+    def test_alpha_without_vostrikova_root_raises_before_any_cell(self):
+        g = self.small_grid(n_values=(60,), d_values=(2,), alpha=0.95)
+        seen = []
+        with pytest.raises(ApproximationFailureError,
+                           match="tail expansion peaks"):
+            run_grid(g, progress=seen.append, timer=FROZEN_TIMER)
+        assert seen == []
+        gumbel = run_grid(self.small_grid(n_values=(60,), d_values=(2,),
+                                          alpha=0.95,
+                                          critical_method="gumbel"),
+                          timer=FROZEN_TIMER)
+        assert [r.error for r in gumbel] == [None]
 
     def test_partial_failure_continues(self):
         g = self.small_grid(n_values=(2, 30))

@@ -13,10 +13,12 @@ from funcusum.simulate import (
     Far1Simulator,
     IntegralKernel,
     SimSpec,
-    brownian_bridge_values,
+    _bridges,
     calibrate_kernel,
     make_change,
 )
+
+from conftest import dense_gram
 
 
 def ar_step(kernel, basis_size):
@@ -24,6 +26,11 @@ def ar_step(kernel, basis_size):
     in coefficient space on its 96-point grid and cubic B-spline basis."""
     sim = Far1Simulator(SimSpec(n=2, kernel=kernel, basis_size=basis_size))
     return lambda y: Curve(sim._step @ y.coeffs, y.basis)
+
+
+def l2_norm(curve):
+    """L2[0,1] norm of a curve through the quadrature Gram matrix."""
+    return math.sqrt(curve.coeffs @ dense_gram(curve.basis) @ curve.coeffs)
 
 
 def mean_scores(sample):
@@ -35,18 +42,18 @@ def mean_scores(sample):
 class TestBrownianBridge:
     def test_endpoints_exactly_zero(self):
         g = Grid.uniform(33)
-        paths = brownian_bridge_values(g, np.random.default_rng(0), size=100)
+        paths = _bridges(g, [np.random.default_rng(0)], 100)[0]
         assert np.all(paths[:, 0] == 0.0)
         assert np.all(paths[:, -1] == 0.0)
 
     def test_variance_at_midpoint(self):
         g = Grid(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-        paths = brownian_bridge_values(g, np.random.default_rng(1), size=20000)
+        paths = _bridges(g, [np.random.default_rng(1)], 20000)[0]
         assert np.var(paths[:, 2]) == pytest.approx(0.25, abs=0.01)
 
     def test_covariance_off_diagonal(self):
         g = Grid(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-        paths = brownian_bridge_values(g, np.random.default_rng(2), size=20000)
+        paths = _bridges(g, [np.random.default_rng(2)], 20000)[0]
         cov = np.mean(paths[:, 1] * paths[:, 3])
         assert cov == pytest.approx(0.25 * (1 - 0.75), abs=0.01)  # min(s,t)-st
 
@@ -56,7 +63,7 @@ class TestBrownianBridge:
         spec = SimSpec(n=5, kernel=calibrate_kernel("wiener", 0.0),
                        burn_in=0, seed=3)
         sim = Far1Simulator(spec)
-        shocks = brownian_bridge_values(sim.grid, np.random.default_rng(3), 5)
+        shocks = _bridges(sim.grid, [np.random.default_rng(3)], 5)[0]
         expected = fit_sample(shocks, sim.grid, sim.basis).coeffs
         sample = sim.generate()
         assert sample.basis == bspline_basis(25) and sample.coeffs.shape == (5, 25)
@@ -128,7 +135,7 @@ class TestIntegralTransform:
         k = calibrate_kernel(kind, psi)
         y = Curve(np.random.default_rng(seed).normal(size=12), b)
         out = ar_step(k, 12)(y)
-        assert out.norm() <= psi * y.norm() + 1e-3
+        assert l2_norm(out) <= psi * l2_norm(y) + 1e-3
 
 
 class TestChangeSpec:
