@@ -32,16 +32,13 @@ from .simulate import Far1Simulator, SimSpec
 REPORT_SCHEMA = "funcusum-report-1"
 SIM_SCHEMA = "funcusum-simulate-1"
 
-# Value types of a test report's preprocess record and of its basis_smooth
-# entry, which _checked_record checks on --replay.
+# Value types of the test report records cmd_test checks on --replay.
+_MANIFEST_FIELDS = {"input": str, "preprocess": dict, "test_config": dict}
 _PREPROCESS_FIELDS = {"drop_indices": tuple[int, ...],
                       "keep": tuple[int, int] | None, "log_ratio": bool,
                       "basis_smooth": dict, "fourier": int,
                       "rescaled_grid": bool}
 _BASIS_SMOOTH_FIELDS = {"size": int, "order": int}
-# Value types of the test report manifest entries cmd_test reads as they
-# are; the preprocess and test_config records are checked key by key.
-_MANIFEST_FIELDS = {"input": str, "test_config": dict}
 
 
 class DataError(ValueError):
@@ -70,17 +67,22 @@ def _load_manifest(path: str) -> dict:
     return loaded
 
 
-def _checked_record(record, fields: dict, path: str, what: str) -> dict:
+def _checked_record(record, fields: dict, path: str, what: str, *,
+                    optional: tuple = (), read_all: bool = True) -> dict:
     """`record`, a JSON object read from `path`, checked against `fields`
-    (key -> type hint, such as a dataclass's type hints); a record that is
-    not an object, an unknown key or a value of the wrong type is a
-    DataError that names the file and the key."""
+    (key -> type hint, such as a dataclass's type hints).  A record that is
+    not an object, a missing key (unless `optional`), a value of the wrong
+    type or, when the caller reads the whole record (`read_all`), a key
+    outside `fields` is a DataError that names the file and the key."""
     if not isinstance(record, dict):
         raise DataError(f"{path}: the {what} record is not a JSON object")
+    for key in fields:
+        if key not in record and key not in optional:
+            raise DataError(f"{path}: the {what} record has no key {key!r}")
     for key, value in record.items():
-        if key not in fields:
+        if key not in fields and read_all:
             raise DataError(f"{path}: unknown {what} key {key!r}")
-        if not _has_type(value, fields[key]):
+        if key in fields and not _has_type(value, fields[key]):
             raise DataError(
                 f"{path}: {what} key {key!r} has the wrong type: {value!r}")
     return record
@@ -88,7 +90,8 @@ def _checked_record(record, fields: dict, path: str, what: str) -> dict:
 
 def _has_type(value, hint) -> bool:
     """Whether a JSON value fits a field hint.  An int passes as a float or
-    a bool, since the dataclasses take those as they take the exact type."""
+    a bool, since the dataclasses take those as they take the exact type;
+    a bool passes only as a bool."""
     origin = get_origin(hint)
     if origin is types.UnionType:
         return any(_has_type(value, h) for h in get_args(hint))
@@ -97,6 +100,8 @@ def _has_type(value, hint) -> bool:
         return (isinstance(value, list)
                 and (args[-1] is Ellipsis or len(value) == len(args))
                 and all(_has_type(v, args[0]) for v in value))
+    if isinstance(value, bool) and hint is not bool:
+        return False
     return isinstance(value, {float: (int, float), bool: int}.get(hint, hint))
 
 
@@ -202,12 +207,17 @@ def cmd_test(args) -> int:
     # read the settings differently.
     manifest = (_load_manifest(args.replay) if args.replay
                 else _test_manifest(args))
+    _checked_record(manifest, _MANIFEST_FIELDS, args.replay, "manifest",
+                    read_all=False)
     prep = _checked_record(manifest["preprocess"], _PREPROCESS_FIELDS,
-                           args.replay, "preprocess")
+                           args.replay, "preprocess",
+                           optional=("rescaled_grid",))
     _checked_record(prep["basis_smooth"], _BASIS_SMOOTH_FIELDS, args.replay,
                     "preprocess basis_smooth")
-    _checked_record({key: manifest[key] for key in _MANIFEST_FIELDS},
-                    _MANIFEST_FIELDS, args.replay, "manifest")
+    tc_fields = get_type_hints(TestConfig)
+    del tc_fields["fourier_size"]  # the preprocess record's fourier
+    tc = _checked_record(manifest["test_config"], tc_fields, args.replay,
+                         "test_config", read_all=False)
     data = read_curves_csv(manifest["input"])
     prep["rescaled_grid"] = data.rescaled
     values = preprocess(data.values, drop=prep["drop_indices"],
@@ -218,12 +228,8 @@ def cmd_test(args) -> int:
             f"curves have {len(data.grid)} samples, fewer than the "
             f"smoothing basis size {size}")
     sample = fit_sample(values, data.grid, bspline_basis(size, order))
-    tc = manifest["test_config"]
-    settings = _checked_record(
-        {key: tc[key] for key in
-         ("d", "h", "lag_kernel", "alpha", "critical_method")},
-        get_type_hints(TestConfig), args.replay, "test_config")
-    cfg = TestConfig(**settings, fourier_size=prep["fourier"])
+    cfg = TestConfig(**{key: tc[key] for key in tc_fields},
+                     fourier_size=prep["fourier"])
     result = run_test(sample, cfg)
     print(f"n = {result.n}  d = {result.d}  h = {result.h:g}  "
           f"lag_kernel = {result.lag_kernel}")
@@ -247,6 +253,8 @@ def cmd_test(args) -> int:
 def cmd_simulate(args) -> int:
     if args.replay:
         manifest = _load_manifest(args.replay)
+        _checked_record(manifest, {"simspec_config": str}, args.replay,
+                        "manifest", read_all=False)
         spec = SimSpec.from_config(manifest["simspec_config"])
     else:
         with open(args.config) as fh:
@@ -273,11 +281,12 @@ def cmd_simulate(args) -> int:
 def cmd_tables(args) -> int:
     if args.replay:
         manifest = _load_manifest(args.replay)
-        raw = manifest.get("grid")
-        if not isinstance(raw, dict):
-            raise DataError(f"{args.replay} does not contain a grid record")
+        _checked_record(manifest, {"grid": dict, "timestamp": str},
+                        args.replay, "manifest", optional=("timestamp",),
+                        read_all=False)
         grid = ExperimentGrid(**_checked_record(
-            raw, get_type_hints(ExperimentGrid), args.replay, "grid"))
+            manifest["grid"], get_type_hints(ExperimentGrid), args.replay,
+            "grid"))
         timestamp = manifest.get("timestamp", _utc_stamp())
     else:
         with open(args.config) as fh:
@@ -296,7 +305,7 @@ def cmd_tables(args) -> int:
 
     results = run_grid(grid, progress=None if args.quiet else progress)
     cells_to_csv(results, args.out, timing=not args.no_timing)
-    sidecar = grid_sidecar(grid, results)
+    sidecar = grid_sidecar(grid, results, timing=not args.no_timing)
     sidecar["timestamp"] = timestamp
     _write_json(args.out + ".manifest.json", sidecar)
     if args.panels:
@@ -398,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (CurveCSVError, DataError, ValueError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import FunctionalSample, Grid, change_basis, fourier_basis
-from .lrcov import LagWindowKernel, LrCovEstimate, default_bandwidth, lrcov_estimate
+from .lrcov import (_require_orthonormal, default_bandwidth, lag_window,
+                    lrcov_estimate)
 
 
 # Entries kept by each per-process memo below.  A Monte Carlo cell reuses
@@ -52,34 +53,9 @@ class TestConfig:
         if self.critical_method not in ("vostrikova", "gumbel"):
             raise ValueError(
                 f"unknown critical_method {self.critical_method!r}")
-        LagWindowKernel.from_name(self.lag_kernel)  # raises on unknown names
+        lag_window(self.lag_kernel, 0.0)  # raises on unknown names
         if self.d > self.fourier_size:
             raise ValueError("d cannot exceed the working basis size")
-
-
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """Estimated partial-sum scores eta (rows k=1..n-1) and eigenvalues; a
-    batch stacks both on leading axes."""
-
-    eta: np.ndarray
-    lambdas: np.ndarray
-
-    def __post_init__(self) -> None:
-        eta = np.asarray(self.eta, dtype=float)
-        lam = np.asarray(self.lambdas, dtype=float)
-        if eta.ndim < 2 or eta.shape[:-2] + eta.shape[-1:] != lam.shape:
-            raise ValueError("score matrix and eigenvalue shapes do not agree")
-        if not np.all(np.isfinite(eta)):
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "lambdas", lam)
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        """Whether some standardizing eigenvalue is not strictly positive,
-        per sample."""
-        return np.any(self.lambdas <= 0.0, axis=-1)
 
 
 class CusumStats(NamedTuple):
@@ -120,22 +96,27 @@ class TestResult:
         return asdict(self)
 
 
-def scores(sample: FunctionalSample, est: LrCovEstimate, d: int) -> ScoreMatrix:
-    """Partial-sum scores of the centered sample on the leading d FPCs, per
-    sample of a batch.
+def _partial_sums(x: np.ndarray) -> np.ndarray:
+    """n^(-1/2) times the cumulative sums over k = 1..n-1 of the rows of x,
+    per sample of a batch."""
+    n = x.shape[-2]
+    return np.cumsum(x, axis=-2)[..., :n - 1, :] / math.sqrt(n)
+
+
+def scores(sample: FunctionalSample, eigvecs: np.ndarray, d: int,
+           ) -> np.ndarray:
+    """Partial-sum scores eta (rows k = 1..n-1) of the centered sample on the
+    first d columns of eigvecs, per sample of a batch.
 
     Computed as cumulative sums of per-observation scores, O(nd).
     """
-    if d < 1 or d > est.basis.size:
-        raise ValueError(f"need 1 <= d <= {est.basis.size}, got {d}")
-    if sample.basis != est.basis:
-        raise ValueError("sample and eigenfunctions must share a basis")
-    if not sample.basis.is_orthonormal:
-        raise ValueError("scores require an orthonormal basis")
-    n = len(sample)
-    per_obs = sample.centered() @ est.eigvecs[..., :d]
-    eta = np.cumsum(per_obs, axis=-2)[..., :n - 1, :] / math.sqrt(n)
-    return ScoreMatrix(eta=eta, lambdas=est.eigvals[..., :d])
+    _require_orthonormal(sample)
+    if d < 1 or d > eigvecs.shape[-1]:
+        raise ValueError(f"need 1 <= d <= {eigvecs.shape[-1]}, got {d}")
+    eta = _partial_sums(sample.centered() @ eigvecs[..., :d])
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("scores must be finite")
+    return eta
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -147,18 +128,17 @@ def _weights(n: int) -> np.ndarray:
     return w
 
 
-def _weighted_max(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum of w(k/n) * values over the last axis and its smallest
-    maximizing k."""
-    obj = _weights(n) * values
+def _weighted_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum of w(k/n) * values over the last axis (k = 1..n-1) and its
+    smallest maximizing k."""
+    obj = _weights(values.shape[-1] + 1) * values
     idx = np.argmax(obj, axis=-1)
     return np.take_along_axis(obj, idx[..., None], axis=-1)[..., 0], idx + 1
 
 
-def _standardized_sumsq(sm: ScoreMatrix) -> np.ndarray:
+def _standardized_sumsq(eta: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Row sums of eta^2/lambda with the conventions 0/0 = 0, x/0 = inf."""
-    sq = sm.eta ** 2
-    lam = sm.lambdas
+    sq = eta ** 2
     if np.all(lam > 0.0):
         # Column-major per sample: the layout of sq[i][:, pos] below, which
         # the rounding of the product depends on.
@@ -176,26 +156,20 @@ def _standardized_sumsq(sm: ScoreMatrix) -> np.ndarray:
     return out
 
 
-def statistic(sm: ScoreMatrix, n: int, standardized: bool = True,
+def statistic(eta: np.ndarray, lambdas: np.ndarray | None = None,
               ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted-CUSUM maximum and its smallest maximizing index k, per
-    sample of a batch.
+    """Weighted-CUSUM maximum over the n-1 rows of eta and its smallest
+    maximizing index k, per sample of a batch.
 
-    Standardized form divides squared scores by the eigenvalues; when some
-    eigenvalue is zero the statistic is +infinity unless the corresponding
-    scores vanish too (constant data), in which case their term contributes
-    zero.
+    Without lambdas the squared scores are summed as they are.  Given the
+    eigenvalues of eta's columns (standardized) they are divided by them;
+    when some eigenvalue is zero the statistic is +infinity unless the
+    corresponding scores vanish too (constant data), in which case their
+    term contributes zero.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if sm.eta.shape[-2] != n - 1:
-        raise ValueError(
-            f"score matrix has {sm.eta.shape[-2]} rows, expected n-1 = {n - 1}")
-    if standardized:
-        sumsq = _standardized_sumsq(sm)
-    else:
-        sumsq = (sm.eta ** 2).sum(axis=-1)
-    return _weighted_max(np.sqrt(sumsq), n)
+    sumsq = ((eta ** 2).sum(axis=-1) if lambdas is None
+             else _standardized_sumsq(eta, lambdas))
+    return _weighted_max(np.sqrt(sumsq))
 
 
 def normalizers(n: int, d: int) -> tuple[float, float]:
@@ -323,12 +297,9 @@ def _fully_functional_max(sample: FunctionalSample,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted maximum of the norm of the full centered cumulative
     coefficient vector, and its smallest maximizing k, per sample."""
-    if not sample.basis.is_orthonormal:
-        raise ValueError("fully-functional objective needs an orthonormal basis")
-    n = len(sample)
-    partial = np.cumsum(sample.centered(), axis=-2)[..., :n - 1, :] / math.sqrt(n)
-    norms = np.sqrt((partial ** 2).sum(axis=-1))
-    return _weighted_max(norms, n)
+    _require_orthonormal(sample)
+    partial = _partial_sums(sample.centered())
+    return _weighted_max(np.sqrt((partial ** 2).sum(axis=-1)))
 
 
 def cusum_stats(sample: FunctionalSample, cfg: TestConfig) -> CusumStats:
@@ -350,19 +321,19 @@ def cusum_stats(sample: FunctionalSample, cfg: TestConfig) -> CusumStats:
     else:
         work = change_basis(sample, fourier_basis(cfg.fourier_size),
                             Grid.uniform(201))
-    h = cfg.h
-    if h is None:
-        h = float(default_bandwidth(n))
-    est = lrcov_estimate(work, LagWindowKernel.from_name(cfg.lag_kernel), h)
-    sm = scores(work, est, cfg.d)
-    t_stat, k_std = statistic(sm, n, standardized=True)
-    _, k_unstd = statistic(sm, n, standardized=False)
+    h = float(default_bandwidth(n)) if cfg.h is None else cfg.h
+    _, eigvals, eigvecs = lrcov_estimate(work, cfg.lag_kernel, h)
+    eta = scores(work, eigvecs, cfg.d)
+    lam = eigvals[..., :cfg.d]
+    t_stat, k_std = statistic(eta, lam)
+    _, k_unstd = statistic(eta)
     _, k_full = _fully_functional_max(work)
     if cfg.critical_method == "vostrikova":
         crit = vostrikova_critical(cfg.alpha, n, cfg.d)
     else:
         crit = gumbel_critical(cfg.alpha, n, cfg.d)
-    return CusumStats(h, t_stat, crit, k_std, k_unstd, k_full, sm.degenerate)
+    return CusumStats(h, t_stat, crit, k_std, k_unstd, k_full,
+                      np.any(lam <= 0.0, axis=-1))
 
 
 def run_test(sample: FunctionalSample, cfg: TestConfig) -> TestResult:

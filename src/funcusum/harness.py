@@ -299,8 +299,10 @@ def _num(v: float) -> str:
     return "nan" if math.isnan(v) else repr(v)
 
 
-def grid_sidecar(grid: ExperimentGrid, results: list[CellResult]) -> dict:
-    """Provenance record: the full grid, seed, audit counters, failures."""
+def grid_sidecar(grid: ExperimentGrid, results: list[CellResult], *,
+                 timing: bool = True) -> dict:
+    """Provenance record: the full grid, seed, audit counters, failures;
+    timing=False records 0.0 seconds per cell, as cells_to_csv does."""
     grid_dict = {}
     for f in fields(grid):
         value = getattr(grid, f.name)
@@ -316,7 +318,8 @@ def grid_sidecar(grid: ExperimentGrid, results: list[CellResult]) -> dict:
         "expected_replications": len(results) * grid.replications,
         "failed_cells": [{**asdict(r.coords), "error": r.error}
                          for r in results if r.error is not None],
-        "timing_seconds": [round(r.seconds, 3) for r in results],
+        "timing_seconds": [round(r.seconds, 3) if timing else 0.0
+                           for r in results],
     }
 
 

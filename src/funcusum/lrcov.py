@@ -15,11 +15,10 @@ makes the decomposition reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, FunctionalSample
+from .basis import FunctionalSample
 
 
 def _plain(x: np.ndarray) -> np.ndarray:
@@ -53,30 +52,20 @@ _KERNELS = {
 }
 
 
-@dataclass(frozen=True)
-class LagWindowKernel:
-    """Symmetric, bounded lag window with K(0)=1 and K(x)=0 for |x|>1."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KERNELS:
-            raise ValueError(
-                f"unknown lag kernel {self.kind!r}; choose from {sorted(_KERNELS)}")
-
-    def weight(self, x: np.ndarray) -> np.ndarray:
-        return _KERNELS[self.kind](np.asarray(x, dtype=float))
-
-    @classmethod
-    def from_name(cls, name: str) -> "LagWindowKernel":
-        return cls(kind=name.lower())
+def lag_window(kind: str, x) -> np.ndarray:
+    """Weight K(x) of the named lag window (case-insensitive): symmetric,
+    bounded, K(0) = 1 and K(x) = 0 for |x| > 1."""
+    window = _KERNELS.get(kind.lower())
+    if window is None:
+        raise ValueError(f"unknown lag kernel {kind.lower()!r}; "
+                         f"choose from {sorted(_KERNELS)}")
+    return window(np.asarray(x, dtype=float))
 
 
 def _require_orthonormal(sample: FunctionalSample) -> None:
     if not sample.basis.is_orthonormal:
-        raise ValueError(
-            "long-run covariance requires an orthonormal basis; "
-            "convert with change_basis first")
+        raise ValueError("the test's stages require an orthonormal basis; "
+                         "convert with change_basis first")
 
 
 def lag_cov(sample: FunctionalSample, r: int) -> np.ndarray:
@@ -117,22 +106,12 @@ def _abs_sorted_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return avals, vecs
 
 
-@dataclass(frozen=True)
-class LrCovEstimate:
-    """Long-run covariance matrix with its (abs-convention) eigenstructure;
-    a batch stacks each array on leading axes.  Column j of `eigvecs` holds
-    the coefficients of eigenfunction j in `basis`."""
-
-    cov: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
-    basis: Basis
-
-
-def lrcov_estimate(sample: FunctionalSample, kernel: LagWindowKernel,
-                   h: float) -> LrCovEstimate:
-    """Lag-window long-run covariance estimate with eigenstructure, one per
-    sample of a batch.
+def lrcov_estimate(sample: FunctionalSample, kernel: str, h: float,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lag-window long-run covariance estimate C and its (abs-convention)
+    eigenvalues and eigenvectors, (cov, eigvals, eigvecs), one per sample
+    of a batch.  Column j of eigvecs holds the coefficients of
+    eigenfunction j in the sample's basis.
 
     h = 0 is the no-correction convention: C equals the lag-0 covariance.
     The lag sum is truncated at floor(h) since the window vanishes beyond
@@ -148,11 +127,10 @@ def lrcov_estimate(sample: FunctionalSample, kernel: LagWindowKernel,
     if h > 0:
         max_lag = min(math.floor(h), n - 1)
         for r in range(1, max_lag + 1):
-            w = float(kernel.weight(np.asarray(r / h)))
+            w = float(lag_window(kernel, r / h))
             if w == 0.0:
                 continue
             cr = lag_cov(sample, r)
             c = c + w * (cr + cr.mT)
     c = 0.5 * (c + c.mT)
-    vals, vecs = _abs_sorted_eigh(c)
-    return LrCovEstimate(cov=c, eigvals=vals, eigvecs=vecs, basis=sample.basis)
+    return (c, *_abs_sorted_eigh(c))

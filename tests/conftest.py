@@ -40,26 +40,32 @@ def bridge_sup_samples():
     """
     t = np.linspace(0.0, 1.0, BRIDGE_GRID)
     inner = t[1:-1]
-    weight = 1.0 / np.sqrt(inner * (1.0 - inner))
-    masks = {}
+    # I_100 lies inside I_500, so the paths are evaluated on the I_500
+    # window only and the I_100 window is a slice of it.
+    windows = {}
     for n in (100, 500):
         hn = math.log(n) ** 1.5 / n
-        masks[n] = (inner >= hn) & (inner <= 1.0 - hn)
+        idx = np.flatnonzero((inner >= hn) & (inner <= 1.0 - hn))
+        windows[n] = slice(idx[0], idx[-1] + 1)
+    lo, hi = windows[500].start, windows[500].stop
+    sub = {n: slice(w.start - lo, w.stop - lo) for n, w in windows.items()}
+    weight = 1.0 / np.sqrt(inner[lo:hi] * (1.0 - inner[lo:hi]))
     sqrt_dt = np.sqrt(np.diff(t))
     sups = {(d, n): [] for d in (1, 2, 3) for n in (100, 500)}
     rng = np.random.default_rng(20260814)
     chunk = 1000
     for _ in range(BRIDGE_PATHS // chunk):
-        incr = rng.normal(size=(3, chunk, sqrt_dt.size)) * sqrt_dt
-        wiener = np.cumsum(incr, axis=2)
-        bridge = wiener - t[1:] * wiener[:, :, -1:]
-        sq = bridge[:, :, :-1] ** 2
-        total = np.zeros((chunk, inner.size))
+        wiener = rng.normal(size=(3, chunk, sqrt_dt.size))
+        wiener *= sqrt_dt
+        np.cumsum(wiener, axis=2, out=wiener)
+        # Bridge values on the window: inner point j is wiener[..., j].
+        sq = wiener[:, :, lo:hi] - t[1 + lo:1 + hi] * wiener[:, :, -1:]
+        np.square(sq, out=sq)
+        np.cumsum(sq, axis=0, out=sq)  # sq[d - 1]: sum of the first d
         for d in (1, 2, 3):
-            total = total + sq[d - 1]
-            vals = np.sqrt(total) * weight
+            vals = np.sqrt(sq[d - 1]) * weight
             for n in (100, 500):
-                sups[(d, n)].append(vals[:, masks[n]].max(axis=1))
+                sups[(d, n)].append(vals[:, sub[n]].max(axis=1))
     return {key: np.concatenate(parts) for key, parts in sups.items()}
 
 

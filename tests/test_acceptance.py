@@ -36,12 +36,10 @@ from funcusum.cusum import (
     vostrikova_critical,
 )
 from funcusum.harness import CellCoords, ExperimentGrid, run_cell
-from funcusum.lrcov import LagWindowKernel, LrCovEstimate, _abs_sorted_eigh, lrcov_estimate
+from funcusum.lrcov import _abs_sorted_eigh, lrcov_estimate
 from funcusum.simulate import Far1Simulator, SimSpec, calibrate_kernel, make_change
 
 from conftest import dense_gram
-
-PLAIN = LagWindowKernel.from_name("plain")
 
 # Reference Monte Carlo rejection rates (percent) for the gaussian-kernel
 # size study at n = 100, h = 2, nominal level 10%: psi -> (d=1, d=2, d=3).
@@ -190,36 +188,35 @@ def test_criterion_7_structural_invariants(acceptance_report):
     coeffs = rng.normal(size=(60, 8))
     b8 = fourier_basis(8)
     s = FunctionalSample(coeffs, b8)
-    est = lrcov_estimate(s, PLAIN, 2.0)
-    base = statistic(scores(s, est, 3), 60)
+    _, lam, vecs = lrcov_estimate(s, "plain", 2.0)
+    base = statistic(scores(s, vecs, 3), lam[:3])
+
+    def standardized(sample):
+        _, lam, vecs = lrcov_estimate(sample, "plain", 2.0)
+        return statistic(scores(sample, vecs, 3), lam[:3])
 
     # Sign flip of an eigenfunction leaves the statistic bitwise unchanged.
-    flipped = LrCovEstimate(cov=est.cov, eigvals=est.eigvals,
-                            eigvecs=est.eigvecs * np.array([-1, 1, -1, 1, 1, -1, 1, -1]),
-                            basis=est.basis)
-    assert statistic(scores(s, flipped, 3), 60) == base
+    flipped = vecs * np.array([-1, 1, -1, 1, 1, -1, 1, -1])
+    assert statistic(scores(s, flipped, 3), lam[:3]) == base
 
     # Scale invariance of the standardized statistic.
-    s_scaled = FunctionalSample(7.5 * coeffs, b8)
-    scaled = statistic(scores(s_scaled, lrcov_estimate(s_scaled, PLAIN, 2.0), 3), 60)
+    scaled = standardized(FunctionalSample(7.5 * coeffs, b8))
     assert scaled[0] == pytest.approx(base[0], abs=1e-10)
     assert scaled[1] == base[1]
 
     # Location invariance.
     shift = rng.normal(size=8)
-    s_shift = FunctionalSample(coeffs + shift, b8)
-    shifted = statistic(scores(s_shift, lrcov_estimate(s_shift, PLAIN, 2.0), 3), 60)
+    shifted = standardized(FunctionalSample(coeffs + shift, b8))
     assert shifted[0] == pytest.approx(base[0], abs=1e-10)
     assert shifted[1] == base[1]
 
     # Time reversal maps the locator k to n - k exactly.
-    s_rev = FunctionalSample(coeffs[::-1].copy(), b8)
-    rev = statistic(scores(s_rev, lrcov_estimate(s_rev, PLAIN, 2.0), 3), 60)
+    rev = standardized(FunctionalSample(coeffs[::-1].copy(), b8))
     assert rev[1] == 60 - base[1]
 
     # Projecting on all J directions without standardization recovers the
     # fully functional objective.
-    t_proj, k_proj = statistic(scores(s, est, 8), 60, standardized=False)
+    t_proj, k_proj = statistic(scores(s, vecs, 8))
     t_full, k_full = _fully_functional_max(s)
     assert t_proj == pytest.approx(t_full, abs=1e-12)
     assert k_proj == k_full

@@ -16,11 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcusum.basis import FunctionalSample, change_basis, fourier_basis
-from funcusum.cusum import ScoreMatrix, _standardized_sumsq, run_test, scores
+from funcusum.cusum import _standardized_sumsq, run_test, scores
 from funcusum.harness import (_CHUNK, CellCoords, CellResult, ExperimentGrid,
                               _cell_setup, run_cell)
-from funcusum.lrcov import (LagWindowKernel, _abs_sorted_eigh, lag_cov,
-                            lrcov_estimate)
+from funcusum.lrcov import _abs_sorted_eigh, lag_cov, lrcov_estimate
 from funcusum.simulate import Far1Simulator, SimSpec, _bridges, calibrate_kernel
 
 SEEDS = [(5, 3, rep) for rep in range(_CHUNK + 1)]
@@ -147,7 +146,7 @@ def test_stacked_centering_and_lag_covariances_equal_per_sample():
 
 def test_stacked_eigh_and_its_column_major_vectors():
     batch = fourier_batch()
-    cov = lrcov_estimate(batch, LagWindowKernel("bartlett"), 3.0).cov
+    cov, _, _ = lrcov_estimate(batch, "bartlett", 3.0)
     vals, vecs = _abs_sorted_eigh(cov)
     a = batch.centered()
     for b in range(len(SEEDS)):
@@ -162,17 +161,16 @@ def test_stacked_eigh_and_its_column_major_vectors():
 
 def test_stacked_scores_and_standardized_sums_equal_per_sample():
     batch = fourier_batch()
-    est = lrcov_estimate(batch, LagWindowKernel("plain"), 2.0)
+    _, vals, vecs = lrcov_estimate(batch, "plain", 2.0)
     for d in range(1, 6):
-        sm = scores(batch, est, d)
-        sumsq = _standardized_sumsq(sm)
+        eta, lam = scores(batch, vecs, d), vals[..., :d]
+        sumsq = _standardized_sumsq(eta, lam)
         for b in range(len(SEEDS)):
-            one = ScoreMatrix(sm.eta[b], sm.lambdas[b])
-            pos = one.lambdas > 0.0
-            sq = one.eta ** 2
-            assert np.array_equal(sumsq[b],
-                                  sq[:, pos] @ (1.0 / one.lambdas[pos]))
-            assert np.array_equal(_standardized_sumsq(one), sumsq[b])
+            pos = lam[b] > 0.0
+            sq = eta[b] ** 2
+            assert np.array_equal(sumsq[b], sq[:, pos] @ (1.0 / lam[b][pos]))
+            assert np.array_equal(_standardized_sumsq(eta[b], lam[b]),
+                                  sumsq[b])
 
 
 def test_degenerate_sample_in_a_batch_keeps_its_conventions():
@@ -180,10 +178,8 @@ def test_degenerate_sample_in_a_batch_keeps_its_conventions():
     eta = rng.normal(size=(3, 9, 3))
     eta[1, :, 2] = 0.0  # 0/0 contributes nothing
     lambdas = np.array([[2.0, 1.0, 0.5], [2.0, 1.0, 0.0], [2.0, 0.0, 0.5]])
-    sm = ScoreMatrix(eta, lambdas)
-    sumsq = _standardized_sumsq(sm)
+    sumsq = _standardized_sumsq(eta, lambdas)
     for b in range(3):
-        one = ScoreMatrix(eta[b], lambdas[b])
-        assert np.array_equal(sumsq[b], _standardized_sumsq(one))
+        assert np.array_equal(sumsq[b],
+                              _standardized_sumsq(eta[b], lambdas[b]))
     assert np.all(np.isfinite(sumsq[1])) and np.all(np.isinf(sumsq[2]))
-    assert sm.degenerate.tolist() == [False, True, True]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from funcusum.basis import Grid, write_curves_csv
+from funcusum import cli
 from funcusum.cli import DataError, main, preprocess
 
 SIM_CONFIG = """\
@@ -305,6 +306,23 @@ class TestCmdTables:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_no_timing_sidecar_replays_byte_for_byte(self, tmp_path, capsys):
+        # Slow cells make a wall-clock seconds entry nonzero; under
+        # --no-timing neither the CSV nor the sidecar records it.
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG.replace("replications = 3",
+                                             "replications = 40"))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        side1, side2 = (tmp_path / "a.csv.manifest.json",
+                        tmp_path / "b.csv.manifest.json")
+        main(["tables", str(cfg), "--out", str(out1), "--quiet", "--no-timing"])
+        assert json.loads(side1.read_text())["timing_seconds"] == [0.0]
+        assert main(["tables", "--replay", str(side1), "--out", str(out2),
+                     "--quiet", "--no-timing"]) == 0
+        capsys.readouterr()
+        assert out2.read_bytes() == out1.read_bytes()
+        assert side2.read_bytes() == side1.read_bytes()
+
     def test_failed_cell_still_exits_zero(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(TABLES_CONFIG.replace("n = 30", "n = 2, 30"))
@@ -395,7 +413,9 @@ class TestReplayRecordChecks:
     @pytest.mark.parametrize("key,value,message", [
         ("bogus", 1, "unknown grid key 'bogus'"),
         ("n_values", 5, "grid key 'n_values' has the wrong type: 5"),
-    ], ids=["unknown_key", "scalar_axis"])
+        ("replications", True,
+         "grid key 'replications' has the wrong type: True"),
+    ], ids=["unknown_key", "scalar_axis", "bool_replications"])
     def test_bad_grid_record_exit_2(self, tmp_path, capsys, key, value,
                                     message):
         cfg = tmp_path / "grid.cfg"
@@ -422,7 +442,23 @@ class TestReplayRecordChecks:
          "{report}: manifest key 'input' has the wrong type: 5"),
         (lambda m: m.update(test_config=[1]),
          "{report}: manifest key 'test_config' has the wrong type: [1]"),
-    ], ids=["drop_zero", "keep_from_zero", "input_number", "test_config_list"])
+        (lambda m: m["test_config"].update(d=True),
+         "{report}: test_config key 'd' has the wrong type: True"),
+        (lambda m: m["preprocess"].update(drop_indices=[True]),
+         "{report}: preprocess key 'drop_indices' has the wrong type: [True]"),
+        (lambda m: m.pop("preprocess"),
+         "{report}: the manifest record has no key 'preprocess'"),
+        (lambda m: m.pop("input"),
+         "{report}: the manifest record has no key 'input'"),
+        (lambda m: m["test_config"].pop("alpha"),
+         "{report}: the test_config record has no key 'alpha'"),
+        (lambda m: m["preprocess"].pop("fourier"),
+         "{report}: the preprocess record has no key 'fourier'"),
+        (lambda m: m["preprocess"]["basis_smooth"].pop("order"),
+         "{report}: the preprocess basis_smooth record has no key 'order'"),
+    ], ids=["drop_zero", "keep_from_zero", "input_number", "test_config_list",
+            "bool_d", "bool_drop_index", "no_preprocess", "no_input",
+            "no_alpha", "no_fourier", "no_basis_smooth_order"])
     def test_bad_report_record_exit_2(self, tmp_path, capsys, edit, message):
         # A replay goes through the checks of a fresh run.
         path = tmp_path / "noise.csv"
@@ -485,6 +521,64 @@ class TestReplayRecordChecks:
         assert main(["test", "--replay", str(report), "--out", str(out)]) == 2
         assert f"input error: {report}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m.update(simspec_config=5),
+         "manifest key 'simspec_config' has the wrong type: 5"),
+        (lambda m: m.pop("simspec_config"),
+         "the manifest record has no key 'simspec_config'"),
+    ], ids=["config_number", "no_config"])
+    def test_bad_simulate_manifest_exit_2(self, tmp_path, capsys, edit,
+                                          message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG)
+        assert main(["simulate", str(cfg), "--out",
+                     str(tmp_path / "a.csv")]) == 0
+        manifest = tmp_path / "a.csv.manifest.json"
+        data = json.loads(manifest.read_text())
+        edit(data)
+        manifest.write_text(json.dumps(data))
+        out = tmp_path / "b.csv"
+        capsys.readouterr()
+        assert main(["simulate", "--replay", str(manifest), "--out",
+                     str(out)]) == 2
+        assert f"input error: {manifest}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m.pop("grid"), "the manifest record has no key 'grid'"),
+        (lambda m: m["grid"].pop("seed"), "the grid record has no key 'seed'"),
+        (lambda m: m.update(timestamp=5),
+         "manifest key 'timestamp' has the wrong type: 5"),
+    ], ids=["no_grid", "no_seed", "timestamp_number"])
+    def test_bad_tables_manifest_exit_2(self, tmp_path, capsys, edit,
+                                        message):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG)
+        assert main(["tables", str(cfg), "--out", str(tmp_path / "a.csv"),
+                     "--quiet"]) == 0
+        sidecar = tmp_path / "a.csv.manifest.json"
+        data = json.loads(sidecar.read_text())
+        edit(data)
+        sidecar.write_text(json.dumps(data))
+        out = tmp_path / "b.csv"
+        capsys.readouterr()
+        assert main(["tables", "--replay", str(sidecar), "--out", str(out),
+                     "--quiet"]) == 2
+        assert f"input error: {sidecar}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_key_error_from_a_bug_is_not_an_input_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "run_grid", broken)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(TABLES_CONFIG)
+    with pytest.raises(KeyError, match="bug"):
+        main(["tables", str(cfg), "--out", str(tmp_path / "a.csv")])
 
 
 @pytest.mark.parametrize("command", ["test", "simulate", "tables"])

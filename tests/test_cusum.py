@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcusum.basis import FunctionalSample, _conversion_matrix, fourier_basis
+from funcusum.basis import (FunctionalSample, _conversion_matrix, bspline_basis,
+                            fourier_basis)
 from funcusum.cusum import (
     ApproximationFailureError,
-    ScoreMatrix,
     _fully_functional_max,
     _weights,
     gumbel_critical,
@@ -29,20 +29,11 @@ from funcusum.cusum import (
 from funcusum.cusum import TestConfig as Config
 from funcusum.cusum import TestResult as Result
 from funcusum.harness import ExperimentGrid, run_cell
-from funcusum.lrcov import LagWindowKernel, LrCovEstimate, lrcov_estimate
+from funcusum.lrcov import _KERNELS, lrcov_estimate
 from funcusum.simulate import Far1Simulator, SimSpec, calibrate_kernel, make_change
 
-PLAIN = LagWindowKernel.from_name("plain")
 
-
-def identity_estimate(basis):
-    """LrCovEstimate whose eigenfunctions are the basis itself."""
-    j = basis.size
-    return LrCovEstimate(cov=np.eye(j), eigvals=np.ones(j), eigvecs=np.eye(j),
-                         basis=basis)
-
-
-def naive_scores(sample, est, d):
+def naive_scores(sample, eigvecs, d):
     """Direct O(n^2 d) double summation of the L2 inner products
     <X_i - mean, v_r>; in an orthonormal basis each is the dot product of
     the coefficient vectors."""
@@ -53,9 +44,28 @@ def naive_scores(sample, est, d):
         for r in range(d):
             acc = 0.0
             for i in range(k):
-                acc += float((sample.coeffs[i] - mean) @ est.eigvecs[:, r])
+                acc += float((sample.coeffs[i] - mean) @ eigvecs[:, r])
             out[k - 1, r] = acc / math.sqrt(n)
     return out
+
+
+def standardized(sample, kernel, h, d):
+    """The standardized statistic and its locator, stage by stage."""
+    _, lam, vecs = lrcov_estimate(sample, kernel, h)
+    return statistic(scores(sample, vecs, d), lam[:d])
+
+
+@st.composite
+def invariance_cases(draw):
+    """A random sample with n, J, d, h and lag kernel, drawn so that the
+    leading d long-run eigenvalues stay away from zero (n well above J)."""
+    j = draw(st.integers(1, 8))
+    d = draw(st.integers(1, j))
+    n = draw(st.integers(j + 10, 60))
+    h = draw(st.sampled_from([0.0, 1.0, 2.5, 4.0]))
+    kernel = draw(st.sampled_from(sorted(_KERNELS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng, rng.normal(size=(n, j)), d, h, kernel
 
 
 def scalar_weighted_cusum(x, lam):
@@ -76,105 +86,99 @@ class TestScores:
     def test_constant_sample_zero_scores(self):
         b = fourier_basis(4)
         s = FunctionalSample(np.tile([2.0, -1.0, 0.5, 3.0], (9, 1)), b)
-        sm = scores(s, identity_estimate(b), 3)
-        assert np.array_equal(sm.eta, np.zeros((8, 3)))
+        assert np.array_equal(scores(s, np.eye(4), 3), np.zeros((8, 3)))
 
     def test_two_point_algebra(self):
         b = fourier_basis(3)
         x1 = np.array([1.0, 2.0, -0.5])
         x2 = np.array([0.0, 1.0, 4.0])
         s = FunctionalSample(np.stack([x1, x2]), b)
-        sm = scores(s, identity_estimate(b), 3)
-        assert np.allclose(sm.eta[0], (x1 - x2) * 2.0 ** -1.5, atol=1e-15)
+        eta = scores(s, np.eye(3), 3)
+        assert np.allclose(eta[0], (x1 - x2) * 2.0 ** -1.5, atol=1e-15)
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(17)
         b = fourier_basis(7)
         s = FunctionalSample(rng.normal(size=(30, 7)), b)
-        est = lrcov_estimate(s, PLAIN, 2.0)
-        sm = scores(s, est, 2)
-        assert np.max(np.abs(sm.eta - naive_scores(s, est, 2))) <= 1e-10
+        _, _, vecs = lrcov_estimate(s, "plain", 2.0)
+        eta = scores(s, vecs, 2)
+        assert np.max(np.abs(eta - naive_scores(s, vecs, 2))) <= 1e-10
 
     def test_last_row_is_negated_final_score(self):
         rng = np.random.default_rng(18)
         b = fourier_basis(5)
         s = FunctionalSample(rng.normal(size=(12, 5)), b)
-        est = lrcov_estimate(s, PLAIN, 0.0)
-        sm = scores(s, est, 3)
+        _, _, vecs = lrcov_estimate(s, "plain", 0.0)
+        eta = scores(s, vecs, 3)
         centered_last = s.coeffs[-1] - s.coeffs.mean(axis=0)
-        expected = -(centered_last @ est.eigvecs[:, :3]) / math.sqrt(12)
-        assert np.max(np.abs(sm.eta[-1] - expected)) <= 1e-10
+        expected = -(centered_last @ vecs[:, :3]) / math.sqrt(12)
+        assert np.max(np.abs(eta[-1] - expected)) <= 1e-10
 
     def test_d_out_of_range(self):
         b = fourier_basis(4)
         s = FunctionalSample(np.zeros((5, 4)), b)
         with pytest.raises(ValueError, match="1 <= d <= 4"):
-            scores(s, identity_estimate(b), 5)
+            scores(s, np.eye(4), 5)
 
     def test_basis_mismatch(self):
+        # Eigenvectors of another basis size fail in the projection.
         s = FunctionalSample(np.zeros((5, 4)), fourier_basis(4))
-        with pytest.raises(ValueError, match="share a basis"):
-            scores(s, identity_estimate(fourier_basis(5)), 2)
+        with pytest.raises(ValueError, match="mismatch"):
+            scores(s, np.eye(5), 2)
 
-    def test_score_matrix_validation(self):
-        with pytest.raises(ValueError, match="shapes"):
-            ScoreMatrix(eta=np.zeros((3, 2)), lambdas=np.ones(3))
-        with pytest.raises(ValueError, match="finite"):
-            ScoreMatrix(eta=np.array([[np.nan]]), lambdas=np.ones(1))
-        assert ScoreMatrix(np.zeros((2, 1)), np.zeros(1)).degenerate
-        assert not ScoreMatrix(np.zeros((2, 1)), np.ones(1)).degenerate
+    def test_requires_orthonormal_basis(self):
+        s = FunctionalSample(np.zeros((5, 6)), bspline_basis(6))
+        with pytest.raises(ValueError, match="orthonormal"):
+            scores(s, np.eye(6), 2)
+        with pytest.raises(ValueError, match="orthonormal"):
+            _fully_functional_max(s)
+
+    def test_non_finite_scores_rejected(self):
+        coeffs = np.zeros((5, 3))
+        coeffs[2, 1] = np.inf
+        s = FunctionalSample(coeffs, fourier_basis(3))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                scores(s, np.eye(3), 2)
 
 
 class TestStatistic:
     def test_zero_scores(self):
-        sm = ScoreMatrix(np.zeros((7, 2)), np.ones(2))
-        assert statistic(sm, 8) == (0.0, 1)
+        assert statistic(np.zeros((7, 2)), np.ones(2)) == (0.0, 1)
 
     def test_midpoint_weight_is_two(self):
         eta = np.zeros((9, 1))
-        eta[4, 0] = 1.0  # k = 5, n = 10, w(1/2) = 2
-        sm = ScoreMatrix(eta, np.ones(1))
-        t, k = statistic(sm, 10)
+        eta[4, 0] = 1.0  # k = 5, n = rows + 1 = 10, w(1/2) = 2
+        t, k = statistic(eta, np.ones(1))
         assert t == 2.0 and k == 5
 
     def test_d1_matches_scalar_reference(self):
         rng = np.random.default_rng(19)
         b = fourier_basis(6)
         s = FunctionalSample(rng.normal(size=(25, 6)), b)
-        est = lrcov_estimate(s, PLAIN, 2.0)
-        t, k = statistic(scores(s, est, 1), 25)
-        x = list(s.coeffs @ est.eigvecs[:, 0])
-        t_ref, k_ref = scalar_weighted_cusum(x, est.eigvals[0])
+        _, lam, vecs = lrcov_estimate(s, "plain", 2.0)
+        t, k = statistic(scores(s, vecs, 1), lam[:1])
+        x = list(s.coeffs @ vecs[:, 0])
+        t_ref, k_ref = scalar_weighted_cusum(x, lam[0])
         assert t == pytest.approx(t_ref, abs=1e-12)
         assert k == k_ref
 
     def test_zero_eigenvalue_gives_infinity(self):
-        eta = np.ones((4, 2))
-        sm = ScoreMatrix(eta, np.array([1.0, 0.0]))
-        t, _ = statistic(sm, 5)
+        t, _ = statistic(np.ones((4, 2)), np.array([1.0, 0.0]))
         assert math.isinf(t)
 
     def test_zero_over_zero_contributes_nothing(self):
         eta = np.zeros((4, 2))
         eta[:, 0] = [0.1, 0.3, 0.2, 0.1]
-        sm = ScoreMatrix(eta, np.array([1.0, 0.0]))
-        t, _ = statistic(sm, 5)
+        t, _ = statistic(eta, np.array([1.0, 0.0]))
         assert math.isfinite(t)
-        only_first = statistic(ScoreMatrix(eta[:, :1], np.ones(1)), 5)[0]
+        only_first = statistic(eta[:, :1], np.ones(1))[0]
         assert t == pytest.approx(only_first, abs=1e-15)
 
     def test_smallest_argmax_on_ties(self):
         eta = np.zeros((3, 1))
         eta[0, 0] = eta[2, 0] = 1.0  # w(1/4) = w(3/4)
-        sm = ScoreMatrix(eta, np.ones(1))
-        assert statistic(sm, 4)[1] == 1
-
-    def test_row_count_guard(self):
-        sm = ScoreMatrix(np.zeros((3, 1)), np.ones(1))
-        with pytest.raises(ValueError, match="expected n-1"):
-            statistic(sm, 10)
-        with pytest.raises(ValueError, match="n >= 2"):
-            statistic(sm, 1)
+        assert statistic(eta, np.ones(1))[1] == 1
 
     def test_unstandardized_objective_monotone_in_d(self):
         rng = np.random.default_rng(20)
@@ -403,39 +407,36 @@ class TestRunTest:
         assert res.p_vostrikova < 0.01
         assert abs(res.k_hat_standardized - 50) <= 5
 
-    def test_sign_flip_of_eigenfunction_is_invisible(self):
-        rng = np.random.default_rng(23)
-        s = FunctionalSample(rng.normal(size=(40, 6)), fourier_basis(6))
-        est = lrcov_estimate(s, PLAIN, 2.0)
-        flipped = LrCovEstimate(cov=est.cov, eigvals=est.eigvals,
-                                eigvecs=est.eigvecs * np.array([-1, 1, -1, 1, 1, -1]),
-                                basis=est.basis)
-        assert statistic(scores(s, est, 3), 40) == statistic(scores(s, flipped, 3), 40)
+    @settings(max_examples=60, deadline=None)
+    @given(case=invariance_cases())
+    def test_sign_flip_of_eigenfunction_is_invisible(self, case):
+        rng, coeffs, d, h, kernel = case
+        s = FunctionalSample(coeffs, fourier_basis(coeffs.shape[1]))
+        _, lam, vecs = lrcov_estimate(s, kernel, h)
+        signs = rng.choice([-1.0, 1.0], size=vecs.shape[1])
+        t, k = statistic(scores(s, vecs, d), lam[:d])
+        t_flip, k_flip = statistic(scores(s, vecs * signs, d), lam[:d])
+        assert float(t_flip).hex() == float(t).hex() and k_flip == k
 
-    def test_scale_invariance_of_standardized_statistic(self):
-        rng = np.random.default_rng(24)
-        coeffs = rng.normal(size=(50, 5))
-        b = fourier_basis(5)
-        results = []
-        for c in (1.0, 7.5):
-            s = FunctionalSample(c * coeffs, b)
-            est = lrcov_estimate(s, PLAIN, 3.0)
-            results.append(statistic(scores(s, est, 2), 50))
-        assert results[0][0] == pytest.approx(results[1][0], abs=1e-10)
-        assert results[0][1] == results[1][1]
+    @settings(max_examples=60, deadline=None)
+    @given(case=invariance_cases(), c=st.floats(0.01, 100.0))
+    def test_scale_invariance_of_standardized_statistic(self, case, c):
+        _, coeffs, d, h, kernel = case
+        b = fourier_basis(coeffs.shape[1])
+        t, k = standardized(FunctionalSample(coeffs, b), kernel, h, d)
+        t_c, k_c = standardized(FunctionalSample(c * coeffs, b), kernel, h, d)
+        assert t_c == pytest.approx(t, rel=1e-8) and k_c == k
 
-    def test_location_invariance(self):
-        rng = np.random.default_rng(25)
-        coeffs = rng.normal(size=(50, 5))
-        shift = np.array([4.0, -2.0, 1.0, 0.5, -3.0])
-        b = fourier_basis(5)
-        results = []
-        for delta in (0.0, 1.0):
-            s = FunctionalSample(coeffs + delta * shift, b)
-            est = lrcov_estimate(s, PLAIN, 3.0)
-            results.append(statistic(scores(s, est, 2), 50))
-        assert results[0][0] == pytest.approx(results[1][0], abs=1e-10)
-        assert results[0][1] == results[1][1]
+    @settings(max_examples=60, deadline=None)
+    @given(case=invariance_cases(), size=st.floats(0.0, 10.0))
+    def test_location_invariance(self, case, size):
+        rng, coeffs, d, h, kernel = case
+        b = fourier_basis(coeffs.shape[1])
+        shift = size * rng.normal(size=coeffs.shape[1])
+        t, k = standardized(FunctionalSample(coeffs, b), kernel, h, d)
+        t_s, k_s = standardized(FunctionalSample(coeffs + shift, b), kernel,
+                                h, d)
+        assert t_s == pytest.approx(t, rel=1e-8) and k_s == k
 
     @pytest.mark.parametrize("h", [0.0, 3.0])
     def test_time_reversal_symmetry(self, h):
@@ -444,16 +445,16 @@ class TestRunTest:
         b = fourier_basis(6)
         s = FunctionalSample(coeffs, b)
         s_rev = FunctionalSample(coeffs[::-1].copy(), b)
-        t_fwd, k_fwd = statistic(scores(s, lrcov_estimate(s, PLAIN, h), 3), 40)
-        t_rev, k_rev = statistic(scores(s_rev, lrcov_estimate(s_rev, PLAIN, h), 3), 40)
+        t_fwd, k_fwd = standardized(s, "plain", h, 3)
+        t_rev, k_rev = standardized(s_rev, "plain", h, 3)
         assert t_fwd == pytest.approx(t_rev, abs=1e-10)
         assert k_rev == 40 - k_fwd
 
     def test_full_projection_equals_functional_objective(self):
         rng = np.random.default_rng(26)
         s = FunctionalSample(rng.normal(size=(40, 6)), fourier_basis(6))
-        est = lrcov_estimate(s, PLAIN, 2.0)
-        t_proj, k_proj = statistic(scores(s, est, 6), 40, standardized=False)
+        _, _, vecs = lrcov_estimate(s, "plain", 2.0)
+        t_proj, k_proj = statistic(scores(s, vecs, 6))
         t_full, k_full = _fully_functional_max(s)
         assert t_proj == pytest.approx(t_full, abs=1e-10)
         assert k_proj == k_full

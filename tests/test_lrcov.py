@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from funcusum.basis import FunctionalSample, bspline_basis, change_basis, fourier_basis
 from funcusum.lrcov import (
     _KERNELS,
-    LagWindowKernel,
     _abs_sorted_eigh,
     default_bandwidth,
     lag_cov,
+    lag_window,
     lrcov_estimate,
 )
 from funcusum.simulate import Far1Simulator, SimSpec, calibrate_kernel
@@ -26,35 +26,30 @@ def iid_sample(n, j, seed):
 
 class TestLagWindowKernel:
     def test_plain_is_indicator(self):
-        k = LagWindowKernel.from_name("plain")
         x = np.array([-1.5, -1.0, 0.0, 0.3, 1.0, 1.01])
-        assert np.array_equal(k.weight(x), [0, 1, 1, 1, 1, 0])
+        assert np.array_equal(lag_window("plain", x), [0, 1, 1, 1, 1, 0])
 
     def test_bartlett_triangle(self):
-        k = LagWindowKernel.from_name("bartlett")
-        assert np.allclose(k.weight(np.array([0.0, 0.5, 1.0, 2.0])),
+        assert np.allclose(lag_window("bartlett", [0.0, 0.5, 1.0, 2.0]),
                            [1.0, 0.5, 0.0, 0.0])
 
     def test_parzen_piecewise_cubic(self):
-        k = LagWindowKernel.from_name("parzen")
-        assert k.weight(np.array(0.5)) == pytest.approx(0.25)
-        assert k.weight(np.array(0.75)) == pytest.approx(2 * 0.25**3)
-        assert k.weight(np.array(0.0)) == 1.0
+        assert lag_window("parzen", 0.5) == pytest.approx(0.25)
+        assert lag_window("parzen", 0.75) == pytest.approx(2 * 0.25**3)
+        assert lag_window("parzen", 0.0) == 1.0
 
     def test_flattop_plateau_then_linear(self):
-        k = LagWindowKernel.from_name("flattop")
-        assert np.allclose(k.weight(np.array([0.2, 0.5, 0.75, 1.0, 1.5])),
+        assert np.allclose(lag_window("flattop", [0.2, 0.5, 0.75, 1.0, 1.5]),
                            [1.0, 1.0, 0.5, 0.0, 0.0])
 
     @given(st.sampled_from(["plain", "bartlett", "parzen", "flattop"]),
            st.floats(-3.0, 3.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_symmetric_bounded_unit_at_zero(self, kind, x):
-        k = LagWindowKernel.from_name(kind)
-        assert k.weight(np.array(x)) == k.weight(np.array(-x))
-        assert 0.0 <= k.weight(np.array(x)) <= 1.0
-        assert k.weight(np.array(0.0)) == 1.0
-        assert k.weight(np.array(1.0 + abs(x) + 1e-9)) == 0.0
+        assert lag_window(kind, x) == lag_window(kind, -x)
+        assert 0.0 <= lag_window(kind, x) <= 1.0
+        assert lag_window(kind, 0.0) == 1.0
+        assert lag_window(kind, 1.0 + abs(x) + 1e-9) == 0.0
 
     @given(st.sampled_from(sorted(_KERNELS)),
            st.floats(min_value=1.0, max_value=1e100, exclude_min=True),
@@ -62,15 +57,19 @@ class TestLagWindowKernel:
     @settings(max_examples=200, deadline=None)
     def test_window_vanishes_outside_unit_support(self, kind, outside, inside):
         # lrcov_estimate stops the lag sum at floor(h) on this property alone
-        k = LagWindowKernel.from_name(kind)
-        assert k.weight(np.array(0.0)) == 1.0
-        assert 0.0 <= k.weight(np.array(inside)) <= 1.0
-        assert np.array_equal(k.weight(np.array([outside, -outside])),
+        assert lag_window(kind, 0.0) == 1.0
+        assert 0.0 <= lag_window(kind, inside) <= 1.0
+        assert np.array_equal(lag_window(kind, [outside, -outside]),
                               [0.0, 0.0])
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown"):
-            LagWindowKernel.from_name("epanechnikov")
+        with pytest.raises(ValueError, match="unknown lag kernel 'epan"):
+            lag_window("Epanechnikov", 0.0)
+
+    def test_name_is_case_insensitive(self):
+        x = np.linspace(-1.5, 1.5, 13)
+        assert np.array_equal(lag_window("BARTLETT", x),
+                              lag_window("bartlett", x))
 
 
 class TestLagCov:
@@ -155,74 +154,70 @@ class TestEigenDecompose:
 class TestLrcovEstimate:
     def test_h_zero_equals_lag_zero_exactly(self):
         s = iid_sample(80, 6, seed=4)
-        est = lrcov_estimate(s, LagWindowKernel.from_name("plain"), 0.0)
-        assert np.array_equal(est.cov, lag_cov(s, 0))
+        cov, _, _ = lrcov_estimate(s, "plain", 0.0)
+        assert np.array_equal(cov, lag_cov(s, 0))
 
     def test_cov_bitwise_symmetric(self):
         s = iid_sample(120, 5, seed=5)
-        est = lrcov_estimate(s, LagWindowKernel.from_name("bartlett"), 4.0)
-        assert np.array_equal(est.cov, est.cov.T)
+        cov, _, _ = lrcov_estimate(s, "bartlett", 4.0)
+        assert np.array_equal(cov, cov.T)
 
     def test_rank_one_sample_recovers_structure(self):
         rng = np.random.default_rng(6)
         v = np.array([1.0, 0.0, 2.0]) / math.sqrt(5.0)
         coeffs = rng.normal(size=5000)[:, None] * v[None, :]
         s = FunctionalSample(coeffs, fourier_basis(3))
-        est = lrcov_estimate(s, LagWindowKernel.from_name("plain"), 0.0)
-        assert est.eigvals[0] == pytest.approx(1.0, abs=0.1)
-        assert est.eigvals[1] <= 0.05
-        v1 = est.eigvecs[:, 0]
+        _, vals, vecs = lrcov_estimate(s, "plain", 0.0)
+        assert vals[0] == pytest.approx(1.0, abs=0.1)
+        assert vals[1] <= 0.05
+        v1 = vecs[:, 0]
         assert min(np.linalg.norm(v1 - v), np.linalg.norm(v1 + v)) <= 0.1
 
     def test_positive_dependence_inflates_leading_eigenvalue(self):
         spec = SimSpec(n=200, kernel=calibrate_kernel("wiener", 0.5))
         f25 = fourier_basis(25)
-        bartlett = LagWindowKernel.from_name("bartlett")
         h = 200 ** 0.25
         sim = Far1Simulator(spec)
         diffs = []
         for rep in range(200):
             raw = sim.generate(seed=(50, rep))
             s = change_basis(raw, f25)
-            lam_h = lrcov_estimate(s, bartlett, h).eigvals[0]
-            lam_0 = lrcov_estimate(s, bartlett, 0.0).eigvals[0]
+            lam_h = lrcov_estimate(s, "bartlett", h)[1][0]
+            lam_0 = lrcov_estimate(s, "bartlett", 0.0)[1][0]
             diffs.append(lam_h - lam_0)
         assert np.mean(diffs) > 0.0
 
     def test_negative_bandwidth_rejected(self):
         s = iid_sample(20, 3, seed=9)
         with pytest.raises(ValueError, match="bandwidth"):
-            lrcov_estimate(s, LagWindowKernel.from_name("plain"), -1.0)
+            lrcov_estimate(s, "plain", -1.0)
 
     def test_eigvals_nonnegative_descending(self):
         s = iid_sample(60, 8, seed=11)
-        est = lrcov_estimate(s, LagWindowKernel.from_name("parzen"), 3.0)
-        assert np.all(est.eigvals >= 0.0)
-        assert np.all(np.diff(est.eigvals) <= 1e-15)
+        _, vals, _ = lrcov_estimate(s, "parzen", 3.0)
+        assert np.all(vals >= 0.0)
+        assert np.all(np.diff(vals) <= 1e-15)
 
     def test_shift_invariance(self):
         s = iid_sample(50, 4, seed=12)
         shifted = FunctionalSample(s.coeffs + np.array([5.0, -1.0, 2.0, 0.25]),
                                    s.basis)
-        k = LagWindowKernel.from_name("plain")
-        a = lrcov_estimate(s, k, 2.0).cov
-        b = lrcov_estimate(shifted, k, 2.0).cov
+        a = lrcov_estimate(s, "plain", 2.0)[0]
+        b = lrcov_estimate(shifted, "plain", 2.0)[0]
         assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_scale_equivariance(self):
         s = iid_sample(50, 4, seed=13)
         doubled = FunctionalSample(3.0 * s.coeffs, s.basis)
-        k = LagWindowKernel.from_name("bartlett")
-        a = lrcov_estimate(s, k, 2.0)
-        b = lrcov_estimate(doubled, k, 2.0)
-        assert np.allclose(b.cov, 9.0 * a.cov, atol=1e-12)
-        assert np.allclose(b.eigvals, 9.0 * a.eigvals, atol=1e-12)
-        assert np.allclose(np.abs(b.eigvecs), np.abs(a.eigvecs), atol=1e-9)
+        a_cov, a_vals, a_vecs = lrcov_estimate(s, "bartlett", 2.0)
+        b_cov, b_vals, b_vecs = lrcov_estimate(doubled, "bartlett", 2.0)
+        assert np.allclose(b_cov, 9.0 * a_cov, atol=1e-12)
+        assert np.allclose(b_vals, 9.0 * a_vals, atol=1e-12)
+        assert np.allclose(np.abs(b_vecs), np.abs(a_vecs), atol=1e-9)
 
     def test_error_shrinks_with_sample_size(self):
         v = np.eye(3)[1]
         target = np.outer(v, v)
-        k = LagWindowKernel.from_name("plain")
         errs = {}
         for n in (500, 8000):
             per_rep = []
@@ -231,9 +226,9 @@ class TestLrcovEstimate:
                 coeffs = rng.normal(size=n)[:, None] * v[None, :]
                 coeffs += 0.1 * rng.normal(size=(n, 3))
                 s = FunctionalSample(coeffs, fourier_basis(3))
-                est = lrcov_estimate(s, k, 0.0)
+                cov, _, _ = lrcov_estimate(s, "plain", 0.0)
                 expected = target + 0.01 * np.eye(3)
-                per_rep.append(np.linalg.norm(est.cov - expected))
+                per_rep.append(np.linalg.norm(cov - expected))
             errs[n] = np.median(per_rep)
         assert errs[8000] <= errs[500] / 2.0
 
