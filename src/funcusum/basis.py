@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -285,6 +286,12 @@ def read_curves_csv(path: str) -> CurveMatrix:
 
     Abscissae are min-max rescaled onto [0,1] when they do not already run
     from 0 to 1; `rescaled` records whether that happened.
+
+    A body of plain comma-separated finite numbers is read in one
+    np.loadtxt call.  Anything else (quoted cells, blank cells, ragged
+    rows, nan or inf, a token loadtxt cannot parse) is read again by the
+    csv parser, which accepts every cell float() accepts and names the
+    line and column of the first bad one.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -316,6 +323,14 @@ def read_curves_csv(path: str) -> CurveMatrix:
             pts = (pts - pts[0]) / (pts[-1] - pts[0])
             pts[-1] = 1.0
             rescaled = True
+        if fh.seekable():  # a pipe cannot be read twice
+            values = _loadtxt_body(fh, pts.size)
+            if values is not None:
+                return CurveMatrix(values, Grid(pts), rescaled)
+            # From the top, so that the csv parser reads the file as it
+            # would alone (a decode error names the same position).
+            fh.seek(0)
+            next(reader)  # the header, checked above
         rows = []
         linenos = []
         for lineno, row in enumerate(reader, start=2):
@@ -339,6 +354,23 @@ def read_curves_csv(path: str) -> CurveMatrix:
     return CurveMatrix(values, Grid(pts), rescaled)
 
 
+def _loadtxt_body(fh, width: int) -> np.ndarray | None:
+    """The rest of `fh` as an (n, width) matrix of finite floats, or None
+    when np.loadtxt fails or finds no rows, another width or a nan/inf."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                dtype=float)
+    except ValueError:
+        return None
+    if (values.shape[0] < 1 or values.shape[1] != width
+            or not np.isfinite(values).all()):
+        return None
+    return values
+
+
 def _first_non_numeric(cells: list[str]) -> int:
     """Index of the first cell float() rejects; the caller knows one does."""
     for j, cell in enumerate(cells):
@@ -359,12 +391,16 @@ def _require_finite(values: np.ndarray, linenos: list[int], what: str) -> None:
 
 
 def write_curves_csv(path: str, values: np.ndarray, grid: Grid) -> None:
-    """Write a curve matrix CSV in the format read_curves_csv expects."""
+    """Write a curve matrix CSV in the format read_curves_csv expects.
+
+    Each value is written as its repr, which reads back bitwise and never
+    holds a comma, quote or newline, so no cell needs quoting.  Rows are
+    streamed; no file-sized string is built.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != len(grid):
         raise ValueError("value columns do not match grid length")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"t={p!r}" for p in grid.points.tolist()])
-        for row in values:
-            writer.writerow([repr(v) for v in row.tolist()])
+        fh.write(",".join(f"t={p!r}" for p in grid.points.tolist()) + "\n")
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n"
+                      for row in values)

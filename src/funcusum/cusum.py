@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import FunctionalSample, Grid, change_basis, fourier_basis
-from .lrcov import (_require_orthonormal, default_bandwidth, lag_window,
-                    lrcov_estimate)
+from .lrcov import (_check_bandwidth, _require_orthonormal, default_bandwidth,
+                    lag_window, lrcov_estimate)
 
 
 # Entries kept by each per-process memo below.  A Monte Carlo cell reuses
@@ -50,6 +50,8 @@ class TestConfig:
             raise ValueError("projection dimension d must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.h is not None:
+            _check_bandwidth(self.h)
         if self.critical_method not in ("vostrikova", "gumbel"):
             raise ValueError(
                 f"unknown critical_method {self.critical_method!r}")

@@ -86,6 +86,14 @@ def default_bandwidth(n: int) -> int:
     return math.floor(n ** (1.0 / 4.0))
 
 
+def _check_bandwidth(h: float) -> None:
+    """Raise ValueError unless h is a finite, nonnegative bandwidth."""
+    if not math.isfinite(h):
+        raise ValueError(f"bandwidth must be finite, got {h}")
+    if h < 0:
+        raise ValueError(f"bandwidth must be nonnegative, got {h}")
+
+
 def _abs_sorted_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """eigh of each matrix of a stack, then |.| on eigenvalues with a joint
     stable descending re-sort and the largest-magnitude-coefficient-positive
@@ -121,8 +129,7 @@ def lrcov_estimate(sample: FunctionalSample, kernel: str, h: float,
     n = len(sample)
     if n < 2:
         raise ValueError("need at least two curves")
-    if h < 0:
-        raise ValueError(f"bandwidth must be nonnegative, got {h}")
+    _check_bandwidth(h)
     c = lag_cov(sample, 0)
     if h > 0:
         max_lag = min(math.floor(h), n - 1)

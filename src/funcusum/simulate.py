@@ -7,6 +7,7 @@ into a B-spline working basis at every step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -54,14 +55,20 @@ def calibrate_kernel(kind: str, psi: float) -> IntegralKernel:
     """
     if not 0.0 <= psi < 1.0:
         raise ValueError(f"need 0 <= psi < 1, got {psi}")
-    base = _BASE_KERNELS.get(kind)
-    if base is None:
+    if kind not in _BASE_KERNELS:
         raise ValueError(f"unknown kernel kind {kind!r}")
+    return IntegralKernel(kind=kind, psi=psi,
+                          scale=psi / math.sqrt(_base_sq_norm(kind)))
+
+
+@functools.cache
+def _base_sq_norm(kind: str) -> float:
+    """Squared L^2([0,1]^2) norm of a base kernel.  It depends on the kind
+    alone, so it is computed once per kind and process."""
     g = Grid.uniform(1001)
     w = g.trapezoid_weights
-    vals = base(g.points[:, None], g.points[None, :])
-    sq_norm = float(w @ (vals ** 2) @ w)
-    return IntegralKernel(kind=kind, psi=psi, scale=psi / math.sqrt(sq_norm))
+    vals = _BASE_KERNELS[kind](g.points[:, None], g.points[None, :])
+    return float(w @ (vals ** 2) @ w)
 
 
 def _bridges(grid: Grid, rngs: list[np.random.Generator],

@@ -1,11 +1,15 @@
 """Bases, quadrature, smoothing and basis conversion."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from funcusum import basis as basis_module
 from funcusum.basis import (
     Curve,
     CurveCSVError,
@@ -24,6 +28,68 @@ from funcusum.basis import (
 )
 
 from conftest import dense_gram
+
+
+def csv_module_writer(path, values, grid):
+    """The csv.writer form of write_curves_csv, the byte-level oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"t={p!r}" for p in grid.points.tolist()])
+        for row in values:
+            writer.writerow([repr(v) for v in row.tolist()])
+
+
+def read_outcome(read, path):
+    """What a curve CSV reader makes of `path`: the exact bytes of the
+    values and grid with the rescaled flag, or the CurveCSVError text."""
+    try:
+        data = read(path)
+    except CurveCSVError as exc:
+        return "error", str(exc)
+    return ("ok", data.values.shape, data.values.tobytes(),
+            data.grid.points.tobytes(), data.rescaled)
+
+
+def csv_parser_read(path):
+    """read_curves_csv with the np.loadtxt step failing, so that the csv
+    parser reads every file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basis_module, "_loadtxt_body", lambda fh, width: None)
+        return read_curves_csv(path)
+
+
+# Cells of a curve CSV body: numbers np.loadtxt parses (nan and inf among
+# them), and cells that only the csv parser takes or that it rejects.
+_NUMBER_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0", "-0.0", "1e-05", "5e-324", "1E16", "+1.5", " 2.5 ",
+                     "1.", ".5", "nan", "-inf", "inf"]),
+)
+_ODD_CELLS = st.sampled_from(['"1.5"', "1_0", "#", "", "  ", "x",
+                              "\u0661\u0662"])
+
+
+@st.composite
+def curve_csv_texts(draw):
+    width = draw(st.integers(2, 4))
+    header = draw(st.sampled_from([
+        ",".join(f"t={p!r}" for p in np.linspace(0.0, 1.0, width).tolist()),
+        ",".join(f"t={k * k + 1}" for k in range(width)),
+    ]))
+    # Now and then every row has one cell too few or too many.
+    row_width = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
+    number_row = st.lists(_NUMBER_CELLS, min_size=row_width,
+                          max_size=row_width).map(",".join)
+    odd_row = st.lists(st.one_of(_NUMBER_CELLS, _ODD_CELLS),
+                       min_size=width - 1, max_size=width + 1).map(",".join)
+    line = st.one_of(number_row, st.just(""))
+    if draw(st.booleans()):  # else every line is one np.loadtxt may take
+        line = st.one_of(line, number_row.map(lambda r: r + ","), odd_row,
+                         st.sampled_from(["   ", "# note", ","]))
+    lines = draw(st.lists(line, max_size=6))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([header] + lines)
+    return text + eol if draw(st.booleans()) else text
 
 
 def gauss_legendre_gram(basis):
@@ -316,3 +382,28 @@ class TestCurveCSV:
         path.write_text("")
         with pytest.raises(CurveCSVError, match="line 1"):
             read_curves_csv(path)
+
+    def test_header_only_file(self, tmp_path, recwarn):
+        path = tmp_path / "header.csv"
+        path.write_text("t=0.0,t=1.0\n\n")
+        with pytest.raises(CurveCSVError, match="line 2: no curve rows found"):
+            read_curves_csv(path)
+        assert len(recwarn) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=curve_csv_texts())
+    def test_read_equals_csv_module_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "curves.csv"
+        path.write_bytes(text.encode())
+        assert (read_outcome(read_curves_csv, path)
+                == read_outcome(csv_parser_read, path))
+
+    def test_writer_bytes_match_csv_module(self, tmp_path):
+        specials = [-0.0, 5e-324, 1e-05, 1e16, 1.0, np.nan, np.inf, -np.inf]
+        values = np.vstack([specials,
+                            np.random.default_rng(1).normal(size=8)])
+        grid = Grid(np.array([0.0, 1e-05, 0.1, 0.2, 1 / 3, 0.5, 0.7, 1.0]))
+        write_curves_csv(tmp_path / "new.csv", values, grid)
+        csv_module_writer(tmp_path / "old.csv", values, grid)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())

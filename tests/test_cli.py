@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from funcusum.basis import Grid, write_curves_csv
+from funcusum.basis import Grid, read_curves_csv, write_curves_csv
 from funcusum import cli
 from funcusum.cli import DataError, main, preprocess
+from funcusum.simulate import Far1Simulator, SimSpec
 
 SIM_CONFIG = """\
 n = 10
@@ -166,6 +167,18 @@ class TestCmdTest:
         err = capsys.readouterr().err
         assert "input error: line 6: non-finite value in column 7" in err
 
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_non_finite_bandwidth_exit_2(self, tmp_path, capsys, h):
+        path = tmp_path / "noise.csv"
+        write_noise_csv(path)
+        report = tmp_path / "report.json"
+        assert main(["test", str(path), "--d", "1", "--h", h,
+                     "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert f"input error: bandwidth must be finite, got {h}" in captured.err
+        assert captured.out == ""
+        assert not report.exists()
+
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.csv"
         path.write_text("t=0.0,t=1.0\n1.0\n")
@@ -266,6 +279,22 @@ class TestCmdSimulate:
                      "--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("kernel", ["wiener", "gaussian"])
+    def test_csv_reads_back_the_sample_bitwise(self, tmp_path, capsys, kernel):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG.replace("wiener", kernel)
+                       .replace("psi = 0.0", "psi = 0.7")
+                       + "change_shape = sin\n")
+        out = tmp_path / "curves.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        sim = Far1Simulator(SimSpec.from_config(cfg.read_text()))
+        expected = sim.generate().evaluate(sim.grid)
+        data = read_curves_csv(out)
+        assert data.values.tobytes() == expected.tobytes()
+        assert data.grid.points.tobytes() == sim.grid.points.tobytes()
+        assert data.rescaled is False
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
@@ -385,6 +414,20 @@ class TestCmdTables:
         assert main(["tables", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure: tail expansion peaks" in err
+        assert not any(line.startswith("cell ") for line in err.splitlines())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h,message", [
+        ("inf", "must be finite, got inf"), ("nan", "must be finite, got nan"),
+        ("-1", "must be nonnegative, got -1.0")])
+    def test_bad_bandwidth_exit_2_before_any_cell(self, tmp_path, capsys, h,
+                                                  message):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG.replace("h = 1.0", f"h = 1.0, {h}"))
+        out = tmp_path / "cells.csv"
+        assert main(["tables", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: bandwidth {message}" in err
         assert not any(line.startswith("cell ") for line in err.splitlines())
         assert not out.exists()
 

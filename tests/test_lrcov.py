@@ -192,6 +192,12 @@ class TestLrcovEstimate:
         with pytest.raises(ValueError, match="bandwidth"):
             lrcov_estimate(s, "plain", -1.0)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_bandwidth_rejected(self, h):
+        s = iid_sample(20, 3, seed=9)
+        with pytest.raises(ValueError, match="bandwidth must be finite"):
+            lrcov_estimate(s, "plain", h)
+
     def test_eigvals_nonnegative_descending(self):
         s = iid_sample(60, 8, seed=11)
         _, vals, _ = lrcov_estimate(s, "parzen", 3.0)

@@ -91,6 +91,27 @@ class TestCalibrateKernel:
         norm = math.sqrt(float(w @ vals**2 @ w))
         assert norm == pytest.approx(psi, abs=1e-6)
 
+    @pytest.mark.parametrize("kind", ["wiener", "gaussian"])
+    def test_scale_is_the_1001_point_trapezoid_norm_bitwise(self, kind):
+        t = np.linspace(0.0, 1.0, 1001)
+        w = np.zeros(1001)
+        w[:-1] += np.diff(t) / 2.0
+        w[1:] += np.diff(t) / 2.0
+        tt, ss = t[:, None], t[None, :]
+        base = (np.minimum(tt, ss) if kind == "wiener"
+                else np.exp((tt ** 2 + ss ** 2) / 2.0))
+        sq_norm = float(w @ (base ** 2) @ w)
+        for psi in (0.0, 0.1, 0.4, 0.8, 0.999):
+            assert calibrate_kernel(kind, psi).scale == psi / math.sqrt(sq_norm)
+
+    def test_bad_arguments_raise_on_every_call(self):
+        calibrate_kernel("wiener", 0.4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="psi"):
+                calibrate_kernel("wiener", 1.0)
+            with pytest.raises(ValueError, match="unknown"):
+                calibrate_kernel("cauchy", 0.4)
+
     def test_rejects_psi_at_or_above_one(self):
         with pytest.raises(ValueError, match="psi"):
             calibrate_kernel("wiener", 1.0)
