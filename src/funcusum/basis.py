@@ -291,9 +291,10 @@ def read_curves_csv(path: str) -> CurveMatrix:
     np.loadtxt call.  Anything else (quoted cells, blank cells, ragged
     rows, nan or inf, a token loadtxt cannot parse) is read again by the
     csv parser, which accepts every cell float() accepts and names the
-    line and column of the first bad one.
+    line and column of the first bad one.  A leading UTF-8 byte-order mark,
+    as spreadsheet programs write, is skipped.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import datetime
 import json
 import sys
 import time
@@ -295,13 +296,23 @@ def cmd_tables(args) -> int:
             grid = dataclasses.replace(grid, seed=args.seed)
         timestamp = _utc_stamp()
     total = len(grid.cells())
+    cells_done = reps_done = 0
+    seconds_done = 0.0
 
     def progress(res):
+        nonlocal cells_done, reps_done, seconds_done
+        # The ETA prices the replications left at the mean seconds per
+        # replication so far; a failed cell ran its failing one as well.
+        cells_done += 1
+        reps_done += res.completed + (res.error is not None)
+        seconds_done += res.seconds
+        eta = datetime.timedelta(seconds=round(
+            seconds_done / reps_done * (total - cells_done) * grid.replications))
         c = res.coords
         status = "failed" if res.error else f"reject_rate={res.reject_rate:.4f}"
         print(f"cell {c.index}/{total}: n={c.n} kernel={c.kernel} psi={c.psi:g} "
               f"h={c.h:g} d={c.d} alt={c.alternative} {status} "
-              f"({res.seconds:.1f}s)", file=sys.stderr)
+              f"({res.seconds:.1f}s, eta {eta})", file=sys.stderr)
 
     results = run_grid(grid, progress=None if args.quiet else progress)
     cells_to_csv(results, args.out, timing=not args.no_timing)

@@ -25,8 +25,10 @@ from .simulate import (Far1Simulator, SimSpec, calibrate_kernel, make_change,
                        parse_key_values)
 
 
-# Replications per batch.  Larger chunks gain little more speed and raise
-# the peak memory of a cell.
+# Replications per batch.  generate() draws a chunk's shocks on every
+# usable CPU, one contiguous share of the chunk each, so a chunk holds
+# several replications per CPU.  Larger chunks gain little more speed and
+# raise the peak memory of a cell.
 _CHUNK = 16
 
 

@@ -337,6 +337,23 @@ class TestCurveCSV:
         assert np.array_equal(data.grid.points, g.points)
         assert data.rescaled is False
 
+    @pytest.mark.parametrize("body", ["1.5,2.0,3.0\n-4.0,5.0,6.25\n",
+                                      '1.5,"2.0",3.0\n-4.0,5.0,6.25\n'])
+    def test_byte_order_mark_is_skipped(self, tmp_path, body):
+        # The second body is not plain numbers, so the csv parser reads the
+        # file again from the top, where the mark must be skipped again.
+        text = "t=0.0,t=0.5,t=1.0\n" + body
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want, got = read_curves_csv(plain), read_curves_csv(marked)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.grid.points, want.grid.points)
+        assert got.rescaled is want.rescaled is False
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"1,2\n")
+        with pytest.raises(CurveCSVError, match="^line 4: expected 3 values"):
+            read_curves_csv(marked)
+
     def test_rescales_raw_abscissae(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("t=1,t=2,t=4\n1.0,2.0,3.0\n")

@@ -9,12 +9,17 @@ differently, and one ulp can flip a decision on the rejection boundary.
 """
 
 import math
+import multiprocessing
 import statistics
+import sys
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funcusum import simulate
 from funcusum.basis import FunctionalSample, change_basis, fourier_basis
 from funcusum.cusum import _standardized_sumsq, run_test, scores
 from funcusum.harness import (_CHUNK, CellCoords, CellResult, ExperimentGrid,
@@ -93,6 +98,86 @@ def test_batch_equals_per_seed_samples():
         assert np.array_equal(batch.coeffs[b], sim.generate(seed).coeffs)
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count that generate() splits a batch over; the
+    shock pool starts afresh and is shut down after the test."""
+    monkeypatch.setattr(simulate, "_pool", None)
+    yield lambda count: monkeypatch.setattr(simulate, "_usable_cpus",
+                                            lambda: count)
+    if simulate._pool is not None:
+        simulate._pool.shutdown()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_threaded_batch_equals_per_seed_samples(cpus, count):
+    cpus(count)
+    sim = simulator(n=12)
+    seeds = [(9, 1, rep) for rep in range(33)]
+    alone = [sim.generate(seed).coeffs for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches inside each share
+    try:
+        for size in (1, 2, 3, 15, 16, 17, 33):
+            batch = sim.generate(seeds[:size]).coeffs
+            for b in range(size):
+                assert np.array_equal(batch[b], alone[b])
+    finally:
+        sys.setswitchinterval(interval)
+    assert (simulate._pool is None) == (count == 1)
+
+
+@pytest.mark.parametrize("where", [0, 7, len(SEEDS) - 1])
+def test_bad_seed_in_a_threaded_batch_raises_its_own_error(cpus, where):
+    cpus(3)  # shares of 5, 6 and 6 seeds: the caller's and two workers'
+    sim = simulator(n=12)
+    with pytest.raises(ValueError) as alone:
+        sim.generate(-1)
+    seeds = list(SEEDS)
+    seeds[where] = -1
+    with pytest.raises(ValueError) as inside:
+        sim.generate(seeds)
+    assert str(inside.value) == str(alone.value)
+    seeds[-1] = "x"  # a later share's error loses to the earlier one
+    if where != len(SEEDS) - 1:
+        with pytest.raises(ValueError, match=str(alone.value)):
+            sim.generate(seeds)
+
+
+def test_single_seed_starts_no_thread(cpus):
+    cpus(2)
+    sim = simulator()
+    threads = threading.active_count()
+    sim.generate()
+    sim.generate(SEEDS[0])
+    sim.generate([SEEDS[0]])
+    assert simulate._pool is None
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads
+def test_forked_child_draws_the_same_batch(cpus):
+    cpus(2)
+    sim = simulator(n=12)
+    batch = sim.generate(SEEDS).coeffs
+    assert simulate._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(
+        target=lambda: sender.send(sim.generate(SEEDS).coeffs))
+    child.start()
+    try:
+        assert receiver.poll(60), "the forked child drew no batch"
+        assert np.array_equal(receiver.recv(), batch)
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+
+
 def test_standard_normal_into_buffer_equals_normal():
     draws = np.empty((40, 95))
     np.random.default_rng(np.random.SeedSequence(SEEDS[3])).standard_normal(
@@ -102,15 +187,36 @@ def test_standard_normal_into_buffer_equals_normal():
     assert np.array_equal(draws, ref)
 
 
+def stacked_bridges(grid, seeds, size):
+    """The stacked bridge draw the per-sample writer replaced: each seed's
+    increments go into one stack, which is scaled and summed at once."""
+    pts = grid.points
+    out = np.zeros((len(seeds), size, pts.size))
+    draws = np.empty((size, pts.size - 1))
+    for b, seed in enumerate(seeds):
+        np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(
+            out=draws)
+        out[b, :, 1:] = draws
+    w = out[..., 1:]
+    w *= np.sqrt(np.diff(pts))
+    np.cumsum(w, axis=-1, out=w)
+    for b in range(len(seeds)):
+        out[b] -= pts * out[b, :, -1:]
+    return out
+
+
 def test_stacked_bridges_and_smoothing_into_time_major_layout():
     sim = simulator()
-    rngs = lambda: [np.random.default_rng(np.random.SeedSequence(s))
-                    for s in SEEDS]
-    stack = _bridges(sim.grid, rngs(), 80)
     coeffs = np.empty((80, len(SEEDS), 25))
-    np.matmul(stack, sim._smoother.T, out=coeffs.transpose(1, 0, 2))
-    for b, rng in enumerate(rngs()):
-        one = _bridges(sim.grid, [rng], 80)[0]
+    sim._shocks(SEEDS, coeffs, 0, len(SEEDS))
+    stack = stacked_bridges(sim.grid, SEEDS, 80)
+    stacked_coeffs = np.empty((80, len(SEEDS), 25))
+    np.matmul(stack, sim._smoother.T, out=stacked_coeffs.transpose(1, 0, 2))
+    assert np.array_equal(coeffs, stacked_coeffs)
+    bridge, draws = np.empty((80, 96)), np.empty((80, 95))
+    for b, seed in enumerate(SEEDS):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        one = _bridges(sim.grid, rng, bridge, draws)
         assert np.array_equal(stack[b], one)
         assert np.array_equal(coeffs[:, b], one @ sim._smoother.T)
 

@@ -1,6 +1,8 @@
 """Command-line surface: preprocessing, subcommands, exit codes, manifests."""
 
 import json
+import math
+import re
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 from funcusum.basis import Grid, read_curves_csv, write_curves_csv
 from funcusum import cli
 from funcusum.cli import DataError, main, preprocess
+from funcusum.harness import CellResult
 from funcusum.simulate import Far1Simulator, SimSpec
 
 SIM_CONFIG = """\
@@ -108,6 +111,22 @@ class TestCmdTest:
         assert code == 0
         assert "reject = True" in out
         assert "k_hat standardized = 40" in out
+
+    def test_csv_with_byte_order_mark(self, tmp_path, capsys):
+        # "CSV UTF-8" as spreadsheet programs save it: the same file behind
+        # an EF BB BF mark gives the same test.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_noise_csv(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for path in (plain, marked):
+            report = tmp_path / (path.stem + ".json")
+            assert main(["test", str(path), "--d", "2", "--h", "2",
+                         "--out", str(report)]) == 0
+            reports.append(json.loads(report.read_bytes())["result"])
+        out = capsys.readouterr().out.splitlines()
+        assert out[:len(out) // 2] == out[len(out) // 2:]
+        assert reports[0] == reports[1]
 
     def test_report_written_and_replay_identical(self, tmp_path, capsys):
         path = tmp_path / "noise.csv"
@@ -438,8 +457,37 @@ class TestCmdTables:
         assert main(["tables", str(cfg), "--out", str(out)]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(":")[0] for line in lines] == ["cell 0/2", "cell 1/2"]
+        assert re.search(r"\(\d+\.\ds, eta \d+:\d\d:\d\d\)$", lines[0])
+        assert lines[1].endswith(", eta 0:00:00)")
         assert main(["tables", str(cfg), "--out", str(out), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_progress_eta_from_mean_seconds_per_replication(
+            self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG.replace("d = 1", "d = 1, 2, 3")
+                       .replace("replications = 3", "replications = 10"))
+
+        def run_grid(grid, progress):
+            # 4 s for 10 replications, then 1 s for 3 and the failing one.
+            results = []
+            for coords, seconds, completed in zip(grid.cells(), (4.0, 1.0, 9.0),
+                                                  (10, 3, 10)):
+                failed = completed < grid.replications
+                res = CellResult(coords, grid.replications, completed,
+                                 math.nan if failed else 0.5, 0.1, 0.5, 0.5,
+                                 seconds, "boom" if failed else None)
+                progress(res)
+                results.append(res)
+            return results
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        assert main(["tables", str(cfg), "--out",
+                     str(tmp_path / "cells.csv")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].endswith("(4.0s, eta 0:00:08)")  # 0.4 s x 20 left
+        assert lines[1].endswith("(1.0s, eta 0:00:04)")  # 5/14 s x 10 left
+        assert lines[2].endswith("(9.0s, eta 0:00:00)")
 
     def test_bad_grid_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"

@@ -33,6 +33,12 @@ def l2_norm(curve):
     return math.sqrt(curve.coeffs @ dense_gram(curve.basis) @ curve.coeffs)
 
 
+def bridges(grid, seed, size):
+    """`size` bridge paths on `grid` from a fresh generator."""
+    return _bridges(grid, np.random.default_rng(seed),
+                    np.empty((size, len(grid))), np.empty((size, len(grid) - 1)))
+
+
 def mean_scores(sample):
     """Integral of each curve over [0,1] by trapezoid on a fine grid."""
     g = Grid.uniform(201)
@@ -42,18 +48,18 @@ def mean_scores(sample):
 class TestBrownianBridge:
     def test_endpoints_exactly_zero(self):
         g = Grid.uniform(33)
-        paths = _bridges(g, [np.random.default_rng(0)], 100)[0]
+        paths = bridges(g, 0, 100)
         assert np.all(paths[:, 0] == 0.0)
         assert np.all(paths[:, -1] == 0.0)
 
     def test_variance_at_midpoint(self):
         g = Grid(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-        paths = _bridges(g, [np.random.default_rng(1)], 20000)[0]
+        paths = bridges(g, 1, 20000)
         assert np.var(paths[:, 2]) == pytest.approx(0.25, abs=0.01)
 
     def test_covariance_off_diagonal(self):
         g = Grid(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-        paths = _bridges(g, [np.random.default_rng(2)], 20000)[0]
+        paths = bridges(g, 2, 20000)
         cov = np.mean(paths[:, 1] * paths[:, 3])
         assert cov == pytest.approx(0.25 * (1 - 0.75), abs=0.01)  # min(s,t)-st
 
@@ -63,7 +69,7 @@ class TestBrownianBridge:
         spec = SimSpec(n=5, kernel=calibrate_kernel("wiener", 0.0),
                        burn_in=0, seed=3)
         sim = Far1Simulator(spec)
-        shocks = _bridges(sim.grid, [np.random.default_rng(3)], 5)[0]
+        shocks = bridges(sim.grid, 3, 5)
         expected = fit_sample(shocks, sim.grid, sim.basis).coeffs
         sample = sim.generate()
         assert sample.basis == bspline_basis(25) and sample.coeffs.shape == (5, 25)
