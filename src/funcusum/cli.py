@@ -295,20 +295,22 @@ def cmd_tables(args) -> int:
         if args.seed is not None:
             grid = dataclasses.replace(grid, seed=args.seed)
         timestamp = _utc_stamp()
-    total = len(grid.cells())
-    cells_done = reps_done = 0
+    # A replication costs about burn_in + n AR steps, and the cells run in
+    # order of n, so the ETA prices the steps left at the mean seconds per
+    # step so far; a failed cell ran its failing replication as well.
+    steps = [grid.burn_in + c.n for c in grid.cells()]
+    total = len(steps)
+    steps_done = 0
     seconds_done = 0.0
 
     def progress(res):
-        nonlocal cells_done, reps_done, seconds_done
-        # The ETA prices the replications left at the mean seconds per
-        # replication so far; a failed cell ran its failing one as well.
-        cells_done += 1
-        reps_done += res.completed + (res.error is not None)
+        nonlocal steps_done, seconds_done
+        c = res.coords
+        steps_done += (res.completed + (res.error is not None)) * steps[c.index]
         seconds_done += res.seconds
         eta = datetime.timedelta(seconds=round(
-            seconds_done / reps_done * (total - cells_done) * grid.replications))
-        c = res.coords
+            seconds_done / steps_done * grid.replications
+            * sum(steps[c.index + 1:])))
         status = "failed" if res.error else f"reject_rate={res.reject_rate:.4f}"
         print(f"cell {c.index}/{total}: n={c.n} kernel={c.kernel} psi={c.psi:g} "
               f"h={c.h:g} d={c.d} alt={c.alternative} {status} "

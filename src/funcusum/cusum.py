@@ -100,9 +100,10 @@ class TestResult:
 
 def _partial_sums(x: np.ndarray) -> np.ndarray:
     """n^(-1/2) times the cumulative sums over k = 1..n-1 of the rows of x,
-    per sample of a batch."""
+    per sample of a batch, built in one array to save a chunk's memory."""
     n = x.shape[-2]
-    return np.cumsum(x, axis=-2)[..., :n - 1, :] / math.sqrt(n)
+    partial = np.cumsum(x[..., :n - 1, :], axis=-2)
+    return np.divide(partial, math.sqrt(n), out=partial)
 
 
 def scores(sample: FunctionalSample, eigvecs: np.ndarray, d: int,
@@ -199,8 +200,6 @@ def normalizers(n: int, d: int) -> tuple[float, float]:
 def gumbel_pvalue(t_stat: float, n: int, d: int) -> float:
     """P-value from the Gumbel limit of a(log n) T - b_d(log n)."""
     a, b = normalizers(n, d)
-    if math.isinf(t_stat):
-        return 0.0
     x = a * t_stat - b
     if x < -30.0:
         return 1.0
@@ -248,12 +247,22 @@ def vostrikova_tail(x: float, n: int, d: int) -> float:
 
 
 def vostrikova_pvalue(t_stat: float, n: int, d: int) -> float:
-    """vostrikova_tail at the observed statistic; p = 1 outside the domain."""
-    if math.isinf(t_stat):
-        return 0.0
-    if t_stat <= math.sqrt(d):
+    """vostrikova_tail at the observed statistic; p = 1 outside the domain
+    and up to the tail's peak, where the expansion still rises, so that
+    p < alpha exactly when t_stat > vostrikova_critical(alpha, n, d)."""
+    if t_stat <= _tail_peak(n, d)[0]:
         return 1.0
     return vostrikova_tail(t_stat, n, d)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _tail_peak(n: int, d: int) -> tuple[float, float]:
+    """Argmax and maximum of vostrikova_tail on a 2048-point scan of
+    [sqrt(d) + 1e-6, 50], memoised on (n, d)."""
+    xs = np.linspace(math.sqrt(d) + 1e-6, 50.0, 2048)
+    vals = np.array([vostrikova_tail(float(x), n, d) for x in xs])
+    top = int(np.argmax(vals))
+    return float(xs[top]), float(vals[top])
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -267,25 +276,21 @@ def vostrikova_critical(alpha: float, n: int, d: int) -> float:
     the expansion's reach).
 
     The root depends on (alpha, n, d) alone, so it is memoised per process
-    on that key (the last _MEMO_SIZE keys are kept).  Errors are not
-    memoised: an alpha with no root raises on every call.  The unmemoised
-    solver is vostrikova_critical.__wrapped__.
+    on that key (the last _MEMO_SIZE keys are kept), and the scan on (n, d)
+    in _tail_peak.  Errors are not memoised: an alpha with no root raises
+    on every call.  vostrikova_critical.__wrapped__ skips the first memo.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    lo = math.sqrt(d) + 1e-6
+    lo, peak = _tail_peak(n, d)
     hi = 50.0
-    xs = np.linspace(lo, hi, 2048)
-    vals = np.array([vostrikova_tail(float(x), n, d) for x in xs])
-    top = int(np.argmax(vals))
-    if vals[top] < alpha:
+    if peak < alpha:
         raise ApproximationFailureError(
-            f"tail expansion peaks at {vals[top]:.6f} < alpha = {alpha}; "
+            f"tail expansion peaks at {peak:.6f} < alpha = {alpha}; "
             "no root on the bracket")
-    if vals[-1] >= alpha:
+    if vostrikova_tail(hi, n, d) >= alpha:
         raise ApproximationFailureError(
             "tail still above alpha at the upper bracket x = 50")
-    lo = float(xs[top])
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if vostrikova_tail(mid, n, d) >= alpha:
@@ -301,7 +306,8 @@ def _fully_functional_max(sample: FunctionalSample,
     coefficient vector, and its smallest maximizing k, per sample."""
     _require_orthonormal(sample)
     partial = _partial_sums(sample.centered())
-    return _weighted_max(np.sqrt((partial ** 2).sum(axis=-1)))
+    np.square(partial, out=partial)
+    return _weighted_max(np.sqrt(partial.sum(axis=-1)))
 
 
 def cusum_stats(sample: FunctionalSample, cfg: TestConfig) -> CusumStats:

@@ -5,19 +5,28 @@ replications per cell, each replication an independent simulate -> test
 run.  Per-replication RNG streams derive from (master seed, cell index,
 replication index), so any cell can be reproduced in isolation and results
 do not depend on scheduling.  A cell runs its replications in chunks of
-_CHUNK through the pipeline's batched kernels; every number equals that of
-running the replications one at a time.
+_CHUNK through the pipeline's batched kernels, one chunk per usable CPU at
+a time, with numpy's bundled OpenBLAS held at one thread; every number
+equals that of running the replications one at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
+import glob
 import itertools
 import math
+import os
 import statistics
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from . import __version__
 from .cusum import TestConfig, cusum_stats, run_test, vostrikova_critical
@@ -25,10 +34,9 @@ from .simulate import (Far1Simulator, SimSpec, calibrate_kernel, make_change,
                        parse_key_values)
 
 
-# Replications per batch.  generate() draws a chunk's shocks on every
-# usable CPU, one contiguous share of the chunk each, so a chunk holds
-# several replications per CPU.  Larger chunks gain little more speed and
-# raise the peak memory of a cell.
+# Replications per batch, and the unit of work of one thread.  Larger
+# chunks gain little more speed, and every CPU holds the temporaries of
+# one chunk, so they raise the peak memory of a cell.
 _CHUNK = 16
 
 
@@ -190,42 +198,89 @@ def _cell_setup(coords: CellCoords,
     return spec, cfg
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable, Callable] | None:
+    """The get and set thread-count functions of numpy's bundled OpenBLAS,
+    or None where they are not found (numpy built against another BLAS)."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for path in glob.glob(f"{site}/numpy.libs/libscipy_openblas*.so"):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread, then restore its count.
+    The pipeline's matrices are small, so BLAS threads gain a cell nothing,
+    and between calls they spin on the cores the chunk threads need."""
+    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
+
 def _replicate(coords: CellCoords, spec: SimSpec, cfg: TestConfig,
                settings: ExperimentGrid,
                timer: Callable[[], float]) -> CellResult:
     start = timer()
     sim = Far1Simulator(spec)
     replications = settings.replications
-    rejects = 0
-    khats: list[float] = []
-    for first in range(0, replications, _CHUNK):
-        streams = [(settings.seed, coords.index, rep)
-                   for rep in range(first, min(first + _CHUNK, replications))]
-        try:
-            stats = cusum_stats(sim.generate(streams), cfg)
-            outcomes = list(zip(
-                (stats.statistic > stats.critical_value).tolist(),
-                stats.k_standardized.tolist()))
-        except Exception:
-            # Run the chunk again one replication at a time, so that the
-            # first failing replication reports its own error.
-            outcomes = []
-            for stream in streams:
-                try:
-                    res = run_test(sim.generate(stream), cfg)
-                except Exception as exc:
-                    return CellResult(
-                        coords=coords, replications=replications,
-                        completed=stream[2], reject_rate=math.nan,
-                        se=math.nan, khat_mean=math.nan, khat_median=math.nan,
-                        seconds=timer() - start,
-                        error=f"replication {stream[2]} (stream {stream}) "
-                              f"failed: {exc}")
-                outcomes.append((res.reject, res.k_hat_standardized))
-        for reject, k_hat in outcomes:
-            rejects += reject
-            khats.append(k_hat / coords.n)
-    p_hat = rejects / replications
+    chunks = [[(settings.seed, coords.index, rep)
+               for rep in range(first, min(first + _CHUNK, replications))]
+              for first in range(0, replications, _CHUNK)]
+    width = min(_usable_cpus(), len(chunks))
+    outcomes: list[tuple[bool, int]] = []
+
+    def batch(streams):
+        stats = cusum_stats(sim.generate(streams), cfg)
+        return list(zip((stats.statistic > stats.critical_value).tolist(),
+                        stats.k_standardized.tolist()))
+
+    # Rounds of one chunk per CPU: the calling thread runs the first and
+    # the pool the others; the pool starts no thread for a round of one.
+    with _one_blas_thread(), ThreadPoolExecutor(max(width - 1, 1)) as pool:
+        for i, streams in enumerate(chunks):
+            if i % width == 0:
+                futures = [pool.submit(batch, later)
+                           for later in chunks[i + 1:i + width]]
+                result = functools.partial(batch, streams)
+            else:
+                result = futures[i % width - 1].result
+            try:
+                outcomes += result()
+            except Exception:
+                # Run the chunk again one replication at a time, so that
+                # the first failing replication reports its own error.
+                for stream in streams:
+                    try:
+                        res = run_test(sim.generate(stream), cfg)
+                    except Exception as exc:
+                        return CellResult(
+                            coords=coords, replications=replications,
+                            completed=stream[2], reject_rate=math.nan,
+                            se=math.nan, khat_mean=math.nan,
+                            khat_median=math.nan, seconds=timer() - start,
+                            error=f"replication {stream[2]} (stream "
+                                  f"{stream}) failed: {exc}")
+                    outcomes.append((res.reject, res.k_hat_standardized))
+    p_hat = sum(reject for reject, _ in outcomes) / replications
+    khats = [k_hat / coords.n for _, k_hat in outcomes]
     return CellResult(
         coords=coords, replications=replications, completed=replications,
         reject_rate=p_hat,

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -94,60 +91,6 @@ def _bridges(grid: Grid, rng: np.random.Generator, out: np.ndarray,
     np.subtract(draws, w, out=w)
     out[:, 0] = 0.0
     return out
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# Threads that draw shocks next to the calling thread, created on the
-# first batch that needs them.  A forked child starts without them.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _shock_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_usable_cpus() - 1,
-                                       thread_name_prefix="funcusum-shocks")
-        return _pool
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _in_shares(work: Callable[[int, int], None], count: int) -> None:
-    """Run work(first, stop) over range(count) split into contiguous shares,
-    one per usable CPU.  The calling thread runs the first share and the
-    pool the rest.  Every share finishes before this returns or raises, and
-    an error from an earlier share wins over one from a later share.
-    """
-    shares = min(count, _usable_cpus())
-    if shares <= 1:
-        work(0, count)
-        return
-    bounds = [count * i // shares for i in range(shares + 1)]
-    pool = _shock_pool()
-    futures = [pool.submit(work, first, stop)
-               for first, stop in zip(bounds[1:-1], bounds[2:])]
-    try:
-        work(bounds[0], bounds[1])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 @dataclass(frozen=True)
@@ -317,18 +260,23 @@ class Far1Simulator:
 
         A list of seeds draws a batch, one sample per seed from that seed's
         own stream, stacked on a leading axis; sample b equals
-        generate(seed[b]) bitwise, whatever the number of threads that
-        draw the batch's shocks.
+        generate(seed[b]) bitwise.  It runs on the calling thread; the
+        Monte Carlo harness runs several batches at once, one per thread.
         """
         spec = self.spec
         batch = isinstance(seed, list)
         seeds = seed if batch else [spec.seed if seed is None else seed]
-        total = spec.burn_in + spec.n
+        total, size = spec.burn_in + spec.n, len(self.grid)
         # Shock coefficients, time-major: the batch's states at one step
         # are contiguous.  The AR recursion then runs over them in place,
         # one step for the whole batch at a time.
         coeffs = np.empty((total, len(seeds), spec.basis_size))
-        _in_shares(functools.partial(self._shocks, seeds, coeffs), len(seeds))
+        bridge = np.empty((total, size))
+        draws = np.empty((total, size - 1))
+        for b, one in enumerate(seeds):
+            rng = np.random.default_rng(np.random.SeedSequence(one))
+            _bridges(self.grid, rng, bridge, draws)
+            np.matmul(bridge, self._smoother.T, out=coeffs[:, b, :])
         prod = np.zeros((len(seeds), spec.basis_size, 1))  # step @ state
         for state in coeffs:
             state += prod[..., 0]
@@ -338,15 +286,3 @@ class Far1Simulator:
             kstar = math.floor(spec.n * spec.change.theta)
             coeffs[:, kstar:] += self._delta_coeffs
         return FunctionalSample(coeffs if batch else coeffs[0], self.basis)
-
-    def _shocks(self, seeds: list, coeffs: np.ndarray, first: int,
-                stop: int) -> None:
-        """Smoothed bridge shocks of samples first..stop-1 into coeffs[:, b],
-        each drawn from its own seed's stream."""
-        total, size = coeffs.shape[0], len(self.grid)
-        bridge = np.empty((total, size))
-        draws = np.empty((total, size - 1))
-        for b in range(first, stop):
-            rng = np.random.default_rng(np.random.SeedSequence(seeds[b]))
-            _bridges(self.grid, rng, bridge, draws)
-            np.matmul(bridge, self._smoother.T, out=coeffs[:, b, :])

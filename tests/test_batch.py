@@ -2,7 +2,8 @@
 running it alone.
 
 `run_cell` pushes chunks of replications through the pipeline's array
-kernels; `run_test` runs the same kernels on a batch of one.  Each stacked
+kernels, one chunk per thread at a time; `run_test` runs the same kernels
+on a batch of one, on the calling thread.  Each stacked
 array form the kernels use is pinned here against the per-sample form it
 replaces, bitwise: on BLAS a different layout or call shape can round
 differently, and one ulp can flip a decision on the rejection boundary.
@@ -19,9 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcusum import simulate
+from funcusum import cli, harness
 from funcusum.basis import FunctionalSample, change_basis, fourier_basis
-from funcusum.cusum import _standardized_sumsq, run_test, scores
+from funcusum.cusum import TestConfig as Config
+from funcusum.cusum import (_partial_sums, _standardized_sumsq, run_test,
+                            scores)
 from funcusum.harness import (_CHUNK, CellCoords, CellResult, ExperimentGrid,
                               _cell_setup, run_cell)
 from funcusum.lrcov import _abs_sorted_eigh, lag_cov, lrcov_estimate
@@ -100,77 +103,169 @@ def test_batch_equals_per_seed_samples():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the usable CPU count that generate() splits a batch over; the
-    shock pool starts afresh and is shut down after the test."""
-    monkeypatch.setattr(simulate, "_pool", None)
-    yield lambda count: monkeypatch.setattr(simulate, "_usable_cpus",
-                                            lambda: count)
-    if simulate._pool is not None:
-        simulate._pool.shutdown()
+    """Set the usable CPU count that run_cell spreads a cell's chunks over."""
+    return lambda count: monkeypatch.setattr(harness, "_usable_cpus",
+                                             lambda: count)
+
+
+def small_cell(reps, index=2):
+    return (CellCoords(index, 12, "wiener", 0.6, 2.0, 2, False),
+            ExperimentGrid(replications=reps, seed=9, burn_in=15,
+                           lag_kernel="bartlett"))
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_threaded_batch_equals_per_seed_samples(cpus, count):
+    # A cell's chunks run on `count` threads, a round of one chunk each at
+    # a time; its numbers equal those of its replications run one by one.
     cpus(count)
-    sim = simulator(n=12)
-    seeds = [(9, 1, rep) for rep in range(33)]
-    alone = [sim.generate(seed).coeffs for seed in seeds]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # more thread switches inside each share
+    sys.setswitchinterval(1e-6)  # more thread switches inside each chunk
     try:
-        for size in (1, 2, 3, 15, 16, 17, 33):
-            batch = sim.generate(seeds[:size]).coeffs
-            for b in range(size):
-                assert np.array_equal(batch[b], alone[b])
+        for reps in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
+                     2 * _CHUNK + 3):
+            coords, grid = small_cell(reps)
+            assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords,
+                                                                     grid)
     finally:
         sys.setswitchinterval(interval)
-    assert (simulate._pool is None) == (count == 1)
+
+
+def poison(monkeypatch, bad_reps):
+    """Make generate raise for the streams of the replications `bad_reps`,
+    alone or inside a batch, with a message naming the stream."""
+    generate = Far1Simulator.generate
+
+    def poisoned(self, seed=None):
+        for stream in seed if isinstance(seed, list) else [seed]:
+            if stream[2] in bad_reps:
+                raise ValueError(f"bad stream {stream}")
+        return generate(self, seed)
+
+    monkeypatch.setattr(Far1Simulator, "generate", poisoned)
 
 
 @pytest.mark.parametrize("where", [0, 7, len(SEEDS) - 1])
-def test_bad_seed_in_a_threaded_batch_raises_its_own_error(cpus, where):
-    cpus(3)  # shares of 5, 6 and 6 seeds: the caller's and two workers'
-    sim = simulator(n=12)
-    with pytest.raises(ValueError) as alone:
-        sim.generate(-1)
-    seeds = list(SEEDS)
-    seeds[where] = -1
-    with pytest.raises(ValueError) as inside:
-        sim.generate(seeds)
-    assert str(inside.value) == str(alone.value)
-    seeds[-1] = "x"  # a later share's error loses to the earlier one
-    if where != len(SEEDS) - 1:
-        with pytest.raises(ValueError, match=str(alone.value)):
-            sim.generate(seeds)
+def test_bad_seed_in_a_threaded_batch_raises_its_own_error(cpus, monkeypatch,
+                                                           where):
+    # Three CPUs and 2 * 16 + 3 replications: the calling thread runs
+    # replications 0..15 and two workers 16..31 and 32..34, in one round.
+    cpus(3)
+    coords, grid = small_cell(2 * _CHUNK + 3)
+    later = 2 * _CHUNK + 1  # a later chunk on a worker fails as well
+    poison(monkeypatch, {where, later})
+    res = run_cell(coords, grid, timer=lambda: 0.0)
+    stream = (grid.seed, coords.index, where)
+    assert res.completed == where
+    assert res.error == (f"replication {where} (stream {stream}) failed: "
+                         f"bad stream {stream}")
+    assert math.isnan(res.reject_rate) and math.isnan(res.khat_median)
 
 
-def test_single_seed_starts_no_thread(cpus):
+def blas_calls(monkeypatch):
+    """Stand-in OpenBLAS thread-count calls that log what is set."""
+    sets = []
+    count = [4]
+
+    def set_(value):
+        sets.append(value)
+        count[0] = value
+
+    monkeypatch.setattr(harness, "_openblas_threads",
+                        lambda: (lambda: count[0], set_))
+    return sets
+
+
+def test_single_seed_starts_no_thread(cpus, monkeypatch, tmp_path):
+    # The one-shot paths start no thread and leave BLAS as they find it,
+    # however many CPUs there are.  A cell of one chunk starts no thread
+    # either, but holds BLAS at one thread while it runs.
     cpus(2)
+    sets = blas_calls(monkeypatch)
     sim = simulator()
     threads = threading.active_count()
     sim.generate()
     sim.generate(SEEDS[0])
     sim.generate([SEEDS[0]])
-    assert simulate._pool is None
+    run_test(sim.generate(SEEDS[1]), Config(d=2))
+    config = tmp_path / "sim.cfg"
+    config.write_text("n = 40\nkernel = wiener\npsi = 0.4\n")
+    curves = tmp_path / "curves.csv"
+    assert cli.main(["simulate", str(config), "--out", str(curves)]) == 0
+    assert cli.main(["test", str(curves), "--d", "2"]) == 0
+    assert sets == []
+    run_cell(*small_cell(_CHUNK))
+    assert sets == [1, 4]
     assert threading.active_count() == threads
+
+
+def test_blas_count_restored_after_a_cell(cpus, monkeypatch):
+    cpus(2)
+    sets = blas_calls(monkeypatch)
+    seen = []
+    generate = Far1Simulator.generate
+
+    def spying(self, seed=None):
+        seen.append(harness._openblas_threads()[0]())
+        return generate(self, seed)
+
+    monkeypatch.setattr(Far1Simulator, "generate", spying)
+    run_cell(*small_cell(2 * _CHUNK + 3))
+    assert sets == [1, 4] and set(seen) == {1}
+    poison(monkeypatch, {_CHUNK + 2})
+    assert run_cell(*small_cell(2 * _CHUNK + 3)).error is not None
+    assert sets == [1, 4, 1, 4]
+
+    class Stop(BaseException):
+        pass
+
+    def stopping(self, seed=None):
+        raise Stop
+
+    monkeypatch.setattr(Far1Simulator, "generate", stopping)
+    with pytest.raises(Stop):
+        run_cell(*small_cell(2 * _CHUNK + 3))
+    assert sets == [1, 4, 1, 4, 1, 4]
+
+
+@pytest.mark.skipif(harness._openblas_threads() is None,
+                    reason="numpy's bundled OpenBLAS not found")
+def test_bundled_openblas_held_at_one_thread_during_a_cell(cpus, monkeypatch):
+    cpus(2)
+    get, set_ = harness._openblas_threads()
+    before = get()
+    seen = []
+    generate = Far1Simulator.generate
+
+    def spying(self, seed=None):
+        seen.append(get())
+        return generate(self, seed)
+
+    monkeypatch.setattr(Far1Simulator, "generate", spying)
+    set_(2)
+    try:
+        run_cell(*small_cell(2 * _CHUNK + 3))
+        assert set(seen) == {1} and get() == 2
+    finally:
+        set_(before)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads
 def test_forked_child_draws_the_same_batch(cpus):
+    # The parent's chunk threads end with its cell, so a child forked
+    # afterwards runs the same cell on threads of its own.
     cpus(2)
-    sim = simulator(n=12)
-    batch = sim.generate(SEEDS).coeffs
-    assert simulate._pool is not None
+    coords, grid = small_cell(2 * _CHUNK + 3)
+    parent = run_cell(coords, grid, timer=lambda: 0.0)
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(
-        target=lambda: sender.send(sim.generate(SEEDS).coeffs))
+    child = ctx.Process(target=lambda: sender.send(
+        run_cell(coords, grid, timer=lambda: 0.0)))
     child.start()
     try:
-        assert receiver.poll(60), "the forked child drew no batch"
-        assert np.array_equal(receiver.recv(), batch)
+        assert receiver.poll(60), "the forked child ran no cell"
+        assert receiver.recv() == parent
     finally:
         child.join(timeout=60)
         if child.is_alive():
@@ -206,9 +301,11 @@ def stacked_bridges(grid, seeds, size):
 
 
 def test_stacked_bridges_and_smoothing_into_time_major_layout():
-    sim = simulator()
-    coeffs = np.empty((80, len(SEEDS), 25))
-    sim._shocks(SEEDS, coeffs, 0, len(SEEDS))
+    # With a zero AR step and no burn-in, generate returns the smoothed
+    # shocks themselves.
+    sim = Far1Simulator(SimSpec(n=80, kernel=calibrate_kernel("wiener", 0.0),
+                                burn_in=0))
+    coeffs = sim.generate(SEEDS).coeffs.transpose(1, 0, 2)
     stack = stacked_bridges(sim.grid, SEEDS, 80)
     stacked_coeffs = np.empty((80, len(SEEDS), 25))
     np.matmul(stack, sim._smoother.T, out=stacked_coeffs.transpose(1, 0, 2))
@@ -263,6 +360,18 @@ def test_stacked_eigh_and_its_column_major_vectors():
         for d in range(1, 6):
             assert np.array_equal(np.matmul(a, vecs[..., :d])[b],
                                   a[b] @ one_vecs[:, :d])
+
+
+def test_partial_sums_built_in_one_array_equal_sum_then_slice():
+    # Summing only the n - 1 rows kept, and dividing in place, saves two
+    # temporaries per chunk; prefix sums do not depend on later rows.
+    batch = fourier_batch()
+    for x in (batch.centered(), batch.centered()[0],
+              np.asfortranarray(batch.coeffs[0])):
+        n = x.shape[-2]
+        ref = np.cumsum(x, axis=-2)[..., :n - 1, :] / math.sqrt(n)
+        got = _partial_sums(x)
+        assert np.array_equal(got, ref) and got.strides == ref.strides
 
 
 def test_stacked_scores_and_standardized_sums_equal_per_sample():

@@ -2,18 +2,23 @@
 
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcusum.basis import Grid, read_curves_csv, write_curves_csv
 from funcusum import cli
 from funcusum.cli import DataError, main, preprocess
-from funcusum.harness import CellResult
-from funcusum.simulate import Far1Simulator, SimSpec
+from funcusum.harness import CellResult, ExperimentGrid
+from funcusum.simulate import (Far1Simulator, SimSpec, calibrate_kernel,
+                               make_change)
 
 SIM_CONFIG = """\
 n = 10
@@ -489,12 +494,101 @@ class TestCmdTables:
         assert lines[1].endswith("(1.0s, eta 0:00:04)")  # 5/14 s x 10 left
         assert lines[2].endswith("(9.0s, eta 0:00:00)")
 
+    def test_progress_eta_prices_each_cell_by_its_n(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # A replication costs about burn_in + n AR steps: 150 at n = 50 and
+        # 600 at n = 500.  Pricing the n = 500 cell at the n = 50 cell's
+        # seconds per replication would say 0:00:02.
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG.replace("n = 30", "n = 50, 500")
+                       .replace("burn_in = 5", "burn_in = 100")
+                       .replace("replications = 3", "replications = 10"))
+
+        def run_grid(grid, progress):
+            results = []
+            for coords, seconds in zip(grid.cells(), (1.5, 6.5)):
+                res = CellResult(coords, grid.replications, grid.replications,
+                                 0.5, 0.1, 0.5, 0.5, seconds)
+                progress(res)
+                results.append(res)
+            return results
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        assert main(["tables", str(cfg), "--out",
+                     str(tmp_path / "cells.csv")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].endswith("(1.5s, eta 0:00:06)")  # 1.5 s / 1500 x 6000
+        assert lines[1].endswith("(6.5s, eta 0:00:00)")
+
     def test_bad_grid_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("n = 30\nreplications = zero\n")
         assert main(["tables", str(cfg), "--out",
                      str(tmp_path / "x.csv")]) == 2
         assert "input error" in capsys.readouterr().err
+
+
+def replays_byte_for_byte(command, config, extra=()):
+    """Run `command` on config text, replay its manifest, and return whether
+    both runs exited alike and wrote the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        (tmp / "run.cfg").write_text(config)
+        outs = [tmp / "a.csv", tmp / "b.csv"]
+        first = main([command, str(tmp / "run.cfg"), "--out", str(outs[0]),
+                      *extra])
+        again = main([command, "--replay", f"{outs[0]}.manifest.json",
+                      "--out", str(outs[1]), *extra])
+        return first == again == 0 and all(
+            pathlib.Path(f"{outs[0]}{suffix}").read_bytes()
+            == pathlib.Path(f"{outs[1]}{suffix}").read_bytes()
+            for suffix in ("", ".manifest.json"))
+
+
+class TestReplayProperty:
+    """--replay reproduces a run's outputs byte for byte."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 60), kind=st.sampled_from(["gaussian", "wiener"]),
+           psi=st.floats(0.0, 0.95), burn_in=st.integers(0, 30),
+           seed=st.one_of(st.integers(0, 2**63),
+                          st.lists(st.integers(0, 2**32), min_size=2,
+                                   max_size=3).map(tuple)),
+           grid_points=st.integers(16, 48), basis_size=st.integers(4, 12),
+           basis_order=st.sampled_from([3, 4]),
+           change=st.one_of(st.none(), st.tuples(
+               st.sampled_from(["sin", "constant"]), st.floats(0.05, 0.95),
+               st.floats(-3.0, 3.0))))
+    def test_simulate(self, n, kind, psi, burn_in, seed, grid_points,
+                      basis_size, basis_order, change):
+        if change is not None:
+            change = make_change(*change, grid_points=grid_points,
+                                 basis_size=basis_size,
+                                 basis_order=basis_order)
+        spec = SimSpec(n=n, kernel=calibrate_kernel(kind, psi), change=change,
+                       burn_in=burn_in, seed=seed, grid_points=grid_points,
+                       basis_size=basis_size, basis_order=basis_order)
+        assert replays_byte_for_byte("simulate", spec.to_config())
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(8, 40), kind=st.sampled_from(["gaussian", "wiener"]),
+           psi=st.floats(0.0, 0.9), h=st.sampled_from([0.0, 1.0, 2.5]),
+           d=st.integers(1, 3), alternative=st.booleans(),
+           replications=st.integers(1, 40), seed=st.integers(0, 2**32),
+           alpha=st.sampled_from([0.01, 0.05, 0.1]),
+           lag_kernel=st.sampled_from(["plain", "bartlett", "parzen",
+                                       "flattop"]),
+           critical_method=st.sampled_from(["vostrikova", "gumbel"]))
+    def test_one_cell_tables(self, n, kind, psi, h, d, alternative,
+                             replications, seed, alpha, lag_kernel,
+                             critical_method):
+        grid = ExperimentGrid(
+            n_values=(n,), kernels=(kind,), psi_values=(psi,), h_values=(h,),
+            d_values=(d,), alternatives=(alternative,),
+            replications=replications, seed=seed, alpha=alpha, burn_in=10,
+            lag_kernel=lag_kernel, critical_method=critical_method)
+        assert replays_byte_for_byte("tables", grid.to_config(),
+                                     ("--quiet", "--no-timing"))
 
 
 class TestReplayRecordChecks:

@@ -7,7 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from funcusum.basis import (FunctionalSample, _conversion_matrix, bspline_basis,
@@ -15,6 +15,7 @@ from funcusum.basis import (FunctionalSample, _conversion_matrix, bspline_basis,
 from funcusum.cusum import (
     ApproximationFailureError,
     _fully_functional_max,
+    _tail_peak,
     _weights,
     gumbel_critical,
     gumbel_pvalue,
@@ -280,6 +281,9 @@ class TestVostrikovaTail:
     def test_pvalue_conventions(self):
         assert vostrikova_pvalue(0.5, 100, 1) == 1.0  # below domain
         assert vostrikova_pvalue(math.inf, 100, 1) == 0.0
+        # Just above sqrt(5) the expansion still rises, from 0.49, so its
+        # value there is no p-value: alpha = 0.55 has its root near 3.9.
+        assert vostrikova_pvalue(math.sqrt(5.0) + 1e-9, 40984, 5) == 1.0
 
 
 class TestVostrikovaCritical:
@@ -321,6 +325,48 @@ class TestVostrikovaCritical:
             assert vostrikova_critical(alpha, n, d).hex() == fresh.hex()
 
 
+def statistic_near(crit, d, where, scale, nudge):
+    """A statistic anywhere up to twice the critical value, near it, or
+    just above the expansion's domain edge sqrt(d)."""
+    return {"anywhere": scale * crit, "near_critical": crit + nudge,
+            "near_edge": math.sqrt(d) + abs(nudge)}[where]
+
+
+STATISTICS = dict(where=st.sampled_from(["anywhere", "near_critical",
+                                         "near_edge"]),
+                  scale=st.floats(0.0, 2.0), nudge=st.floats(-1e-6, 1e-6))
+
+
+class TestRejectIffPBelowAlpha:
+    """A test rejects (t > critical value) exactly when p < alpha."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 10**6), d=st.integers(1, 10),
+           alpha=st.floats(1e-6, 0.9), **STATISTICS)
+    def test_vostrikova(self, n, d, alpha, where, scale, nudge):
+        try:
+            crit = vostrikova_critical(alpha, n, d)
+        except ApproximationFailureError:
+            assume(False)  # alpha above the expansion's peak: no root
+        t = statistic_near(crit, d, where, scale, nudge)
+        # The bisection stops within 1e-8 of the root, so a statistic that
+        # close may fall on either side of it.
+        assume(abs(t - crit) > 1e-8)
+        assert (t > crit) == (vostrikova_pvalue(t, n, d) < alpha)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 10**6), d=st.integers(1, 30),
+           alpha=st.floats(1e-6, 1.0 - 1e-6), **STATISTICS)
+    def test_gumbel(self, n, d, alpha, where, scale, nudge):
+        crit = gumbel_critical(alpha, n, d)
+        t = statistic_near(crit, d, where, scale, nudge)
+        # The p-value and the critical value invert the limit law along
+        # different floating-point paths, which part within about 1e-14
+        # of the critical value.
+        assume(abs(t - crit) > 1e-12 * max(1.0, abs(crit)))
+        assert (t > crit) == (gumbel_pvalue(t, n, d) < alpha)
+
+
 class TestMemo:
     def test_weights_read_only(self):
         w = _weights(50)
@@ -335,7 +381,8 @@ class TestMemo:
                               seed=5)
         coords = grid.cells()[0]
         frozen = lambda: 0.0
-        for memo in (vostrikova_critical, _weights, _conversion_matrix):
+        for memo in (vostrikova_critical, _tail_peak, _weights,
+                     _conversion_matrix):
             memo.cache_clear()
         cold = run_cell(coords, grid, timer=frozen)
         warm = run_cell(coords, grid, timer=frozen)
