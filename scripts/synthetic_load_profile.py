@@ -17,9 +17,9 @@ import pathlib
 
 import numpy as np
 
-from funcusum.basis import FunctionalSample, Grid, write_curves_csv
+from funcusum.basis import FunctionalSample, Grid, fit_sample, write_curves_csv
 from funcusum.cli import main as cli_main
-from funcusum.simulate import Far1Simulator, SimSpec, calibrate_kernel, make_change
+from funcusum.simulate import Far1Simulator, SimSpec, calibrate_kernel
 
 
 def build_profile(n, break_index, shift_norm, noise_scale, psi, seed):
@@ -27,10 +27,9 @@ def build_profile(n, break_index, shift_norm, noise_scale, psi, seed):
     spec = SimSpec(n=n, kernel=calibrate_kernel("wiener", psi), seed=(seed, 7),
                    grid_points=97, basis_size=12, basis_order=4)
     noise = Far1Simulator(spec).generate()
-    delta = make_change("constant", theta=break_index / n, amplitude=shift_norm,
-                        grid_points=97, basis_size=12, basis_order=4).delta
+    shift = fit_sample(np.full(97, shift_norm), grid, noise.basis).coeffs[0]
     coeffs = noise_scale * noise.coeffs
-    coeffs[break_index:] += delta.coeffs
+    coeffs[break_index:] += shift
     return grid, FunctionalSample(coeffs, noise.basis).evaluate(grid)
 
 

@@ -7,10 +7,10 @@ Monte Carlo harness for size/power studies.
 
 __version__ = "0.1.0"
 
-from .basis import (Basis, Curve, CurveCSVError, CurveMatrix,
-                    FunctionalSample, Grid, SingularFitError, bspline_basis,
-                    change_basis, fit_curve, fit_sample, fourier_basis,
-                    read_curves_csv, write_curves_csv)
+from .basis import (Basis, CurveCSVError, CurveMatrix, FunctionalSample,
+                    Grid, SingularFitError, bspline_basis, change_basis,
+                    fit_sample, fourier_basis, read_curves_csv,
+                    write_curves_csv)
 from .cusum import (ApproximationFailureError, CusumStats, TestConfig,
                     TestResult, cusum_stats, gumbel_critical, gumbel_pvalue,
                     normalizers, run_test, scores, statistic,
@@ -23,11 +23,11 @@ from .simulate import (ChangeSpec, Far1Simulator, IntegralKernel, SimSpec,
 
 __all__ = [
     "ApproximationFailureError", "Basis", "CellCoords", "CellResult",
-    "ChangeSpec", "Curve", "CurveCSVError", "CurveMatrix", "CusumStats",
+    "ChangeSpec", "CurveCSVError", "CurveMatrix", "CusumStats",
     "ExperimentGrid", "Far1Simulator", "FunctionalSample", "Grid",
     "IntegralKernel", "SimSpec", "SingularFitError", "TestConfig",
     "TestResult", "bspline_basis", "calibrate_kernel", "cells_to_csv",
-    "change_basis", "cusum_stats", "default_bandwidth", "fit_curve",
+    "change_basis", "cusum_stats", "default_bandwidth",
     "fit_sample", "format_table_panels", "fourier_basis", "grid_sidecar",
     "gumbel_critical", "gumbel_pvalue", "lag_cov", "lag_window",
     "lrcov_estimate", "make_change", "normalizers", "read_curves_csv",

@@ -155,23 +155,6 @@ def bspline_basis(size: int, order: int = 4) -> Basis:
 
 
 @dataclass(frozen=True)
-class Curve:
-    """A single function, stored as basis coefficients."""
-
-    coeffs: np.ndarray
-    basis: Basis
-
-    def __post_init__(self) -> None:
-        c = _readonly(np.asarray(self.coeffs, dtype=float))
-        if c.shape != (self.basis.size,):
-            raise ValueError("coefficient length does not match basis size")
-        object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.basis.evaluate(np.atleast_1d(x)) @ self.coeffs
-
-
-@dataclass(frozen=True)
 class FunctionalSample:
     """An ordered sample of n curves sharing one basis.
 
@@ -234,11 +217,6 @@ def _fit_matrix(values: np.ndarray, grid: Grid, basis: Basis) -> np.ndarray:
         raise SingularFitError(
             f"design matrix rank {rank} < basis size {basis.size}")
     return coeffs.T
-
-
-def fit_curve(values: np.ndarray, grid: Grid, basis: Basis) -> Curve:
-    """Smooth one curve observed at grid points into the basis (plain OLS)."""
-    return Curve(_fit_matrix(values, grid, basis)[0], basis)
 
 
 def fit_sample(values: np.ndarray, grid: Grid, basis: Basis) -> FunctionalSample:

@@ -109,11 +109,13 @@ def _has_type(value, hint) -> bool:
 def _parse_keep(text: str) -> tuple[int, int]:
     parts = text.split("..")
     if len(parts) != 2:
-        raise DataError(f"--keep expects 'i..j', got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"--keep expects 'i..j', got {text!r}")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
-        raise DataError(f"--keep expects integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"--keep expects integers, got {text!r}") from None
     return lo, hi
 
 
@@ -121,17 +123,20 @@ def _parse_drop(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise DataError(f"--drop-indices expects integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"--drop-indices expects integers, got {text!r}") from None
 
 
 def _parse_basis_smooth(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise DataError(f"--basis-smooth expects 'J:order', got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"--basis-smooth expects 'J:order', got {text!r}")
     try:
         size, order = int(parts[0]), int(parts[1])
     except ValueError:
-        raise DataError(f"--basis-smooth expects integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"--basis-smooth expects integers, got {text!r}") from None
     return size, order
 
 

@@ -178,10 +178,7 @@ def _cell_setup(coords: CellCoords,
     change = None
     if coords.alternative:
         change = make_change(settings.change_shape, settings.theta,
-                             settings.change_amplitude,
-                             grid_points=settings.grid_points,
-                             basis_size=settings.basis_size,
-                             basis_order=settings.basis_order)
+                             settings.change_amplitude)
     spec = SimSpec(n=coords.n,
                    kernel=calibrate_kernel(coords.kernel, coords.psi),
                    change=change, burn_in=settings.burn_in,

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .basis import Curve, FunctionalSample, Grid, bspline_basis, fit_curve
+from .basis import FunctionalSample, Grid, bspline_basis, fit_sample
 
 _CHANGE_SHAPES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sin": np.sin,
@@ -95,14 +95,16 @@ def _bridges(grid: Grid, rng: np.random.Generator, out: np.ndarray,
 
 @dataclass(frozen=True)
 class ChangeSpec:
-    """A one-time mean shift: curves after index floor(n * theta) gain delta."""
+    """A one-time mean shift: curves after index floor(n * theta) gain
+    amplitude * shape(t), where `shape` names one of _CHANGE_SHAPES."""
 
-    theta: float
-    delta: Curve
-    shape: str = "custom"
+    shape: str
+    theta: float = 0.5
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.shape not in _CHANGE_SHAPES:
+            raise ValueError(f"unknown change shape {self.shape!r}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"need 0 < theta < 1, got {self.theta}")
 
@@ -141,9 +143,6 @@ class SimSpec:
         if self.change is None:
             lines.append("change_shape = none")
         else:
-            if self.change.shape not in _CHANGE_SHAPES:
-                raise ValueError(
-                    f"change shape {self.change.shape!r} cannot be serialized")
             lines.append(f"change_shape = {self.change.shape}")
             lines.append(f"change_theta = {self.change.theta!r}")
             lines.append(f"change_amplitude = {self.change.amplitude!r}")
@@ -161,23 +160,16 @@ class SimSpec:
                 raise ValueError(f"missing required config key {req!r}")
         n = int(fields["n"])
         kernel = calibrate_kernel(fields["kernel"], float(fields["psi"]))
-        burn_in = int(fields.get("burn_in", "100"))
-        seed = _parse_seed(fields.get("seed", "0"))
-        grid_points = int(fields.get("grid_points", "96"))
-        basis_size = int(fields.get("basis_size", "25"))
-        basis_order = int(fields.get("basis_order", "4"))
+        # Only the keys given are passed, so the dataclass defaults apply.
+        found = {key: parse(fields[key]) for key, parse in (
+            ("burn_in", int), ("seed", _parse_seed), ("grid_points", int),
+            ("basis_size", int), ("basis_order", int)) if key in fields}
         shape = fields.get("change_shape", "none")
-        change = None
         if shape != "none":
-            theta = float(fields.get("change_theta", "0.5"))
-            amplitude = float(fields.get("change_amplitude", "1.0"))
-            change = make_change(shape, theta, amplitude,
-                                 grid_points=grid_points,
-                                 basis_size=basis_size,
-                                 basis_order=basis_order)
-        return cls(n=n, kernel=kernel, change=change, burn_in=burn_in,
-                   seed=seed, grid_points=grid_points, basis_size=basis_size,
-                   basis_order=basis_order)
+            found["change"] = ChangeSpec(shape, **{
+                key: float(fields["change_" + key])
+                for key in ("theta", "amplitude") if "change_" + key in fields})
+        return cls(n=n, kernel=kernel, **found)
 
 
 def parse_key_values(text: str, known: Iterable[str]) -> dict[str, str]:
@@ -216,18 +208,9 @@ def _parse_seed(text: str) -> int | tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def make_change(shape: str, theta: float, amplitude: float = 1.0,
-                grid_points: int = 96, basis_size: int = 25,
-                basis_order: int = 4) -> ChangeSpec:
-    """Build a ChangeSpec whose delta is amplitude * shape(t) in the working basis."""
-    fn = _CHANGE_SHAPES.get(shape)
-    if fn is None:
-        raise ValueError(f"unknown change shape {shape!r}")
-    grid = Grid.uniform(grid_points)
-    basis = bspline_basis(basis_size, basis_order)
-    delta = fit_curve(amplitude * fn(grid.points), grid, basis)
-    return ChangeSpec(theta=theta, delta=delta, shape=shape,
-                      amplitude=amplitude)
+def make_change(shape: str, theta: float, amplitude: float = 1.0) -> ChangeSpec:
+    """The shift amplitude * shape(t) after curve floor(n * theta)."""
+    return ChangeSpec(shape, theta, amplitude)
 
 
 class Far1Simulator:
@@ -248,11 +231,15 @@ class Far1Simulator:
         k_mat = spec.kernel.values(self.grid.points, self.grid.points)
         quad = k_mat * self.grid.trapezoid_weights[None, :]
         self._step = self._smoother @ quad @ design
+        self._delta_coeffs = None
         if spec.change is not None:
-            delta_vals = spec.change.delta(self.grid.points)
-            self._delta_coeffs = self._smoother @ delta_vals
-        else:
-            self._delta_coeffs = None
+            # P E c is not bitwise the fit c, and the power cells and the
+            # replays of simulate outputs were made with P E c.
+            change = spec.change
+            values = change.amplitude * _CHANGE_SHAPES[change.shape](
+                self.grid.points)
+            fit = fit_sample(values, self.grid, self.basis).coeffs[0]
+            self._delta_coeffs = self._smoother @ (design @ fit)
 
     def generate(self, seed: int | tuple[int, ...] | list | None = None,
                  ) -> FunctionalSample:

@@ -1,5 +1,7 @@
 """Command-line surface: preprocessing, subcommands, exit codes, manifests."""
 
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -232,12 +234,24 @@ class TestCmdTest:
             main(["test"])
         assert exc.value.code == 2
 
-    def test_bad_keep_flag_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--keep", "5", "--keep expects 'i..j', got '5'"),
+        ("--keep", "1-5", "--keep expects 'i..j', got '1-5'"),
+        ("--keep", "a..5", "--keep expects integers, got 'a..5'"),
+        ("--drop-indices", "1,x", "--drop-indices expects integers, got '1,x'"),
+        ("--basis-smooth", "25", "--basis-smooth expects 'J:order', got '25'"),
+        ("--basis-smooth", "25:x",
+         "--basis-smooth expects integers, got '25:x'"),
+    ], ids=["keep_shape", "keep_dash", "keep_integers", "drop_integers",
+            "basis_smooth_shape", "basis_smooth_integers"])
+    def test_bad_keep_flag_rejected(self, tmp_path, capsys, flag, value,
+                                    message):
         path = tmp_path / "noise.csv"
         write_noise_csv(path)
         with pytest.raises(SystemExit) as exc:
-            main(["test", str(path), "--keep", "5"])
+            main(["test", str(path), flag, value])
         assert exc.value.code == 2
+        assert f"argument {flag}: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,message", [
         (["--keep", "0..5"], "--keep needs 1 <= i <= j, got 0..5"),
@@ -562,13 +576,51 @@ class TestReplayProperty:
     def test_simulate(self, n, kind, psi, burn_in, seed, grid_points,
                       basis_size, basis_order, change):
         if change is not None:
-            change = make_change(*change, grid_points=grid_points,
-                                 basis_size=basis_size,
-                                 basis_order=basis_order)
+            change = make_change(*change)
         spec = SimSpec(n=n, kernel=calibrate_kernel(kind, psi), change=change,
                        burn_in=burn_in, seed=seed, grid_points=grid_points,
                        basis_size=basis_size, basis_order=basis_order)
         assert replays_byte_for_byte("simulate", spec.to_config())
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(10, 60), kind=st.sampled_from(["gaussian", "wiener"]),
+           psi=st.floats(0.0, 0.9), seed=st.integers(0, 2**32),
+           grid_points=st.integers(16, 48), basis_size=st.integers(4, 12),
+           basis_order=st.sampled_from([3, 4]),
+           change=st.one_of(st.none(), st.tuples(
+               st.sampled_from(["sin", "constant"]), st.floats(0.05, 0.95),
+               st.floats(-3.0, 3.0))),
+           d=st.integers(1, 3), h=st.one_of(st.none(), st.floats(0.0, 4.0)),
+           lag_kernel=st.sampled_from(["plain", "bartlett", "parzen",
+                                       "flattop"]),
+           alpha=st.sampled_from([0.01, 0.05, 0.1]),
+           critical=st.sampled_from(["vostrikova", "gumbel"]))
+    def test_test(self, n, kind, psi, seed, grid_points, basis_size,
+                  basis_order, change, d, h, lag_kernel, alpha, critical):
+        spec = SimSpec(n=n, kernel=calibrate_kernel(kind, psi),
+                       change=None if change is None else make_change(*change),
+                       burn_in=10, seed=seed, grid_points=grid_points,
+                       basis_size=basis_size, basis_order=basis_order)
+        flags = ["--d", str(d), "--lag-kernel", lag_kernel, "--alpha",
+                 repr(alpha), "--critical", critical, "--basis-smooth",
+                 f"{basis_size}:{basis_order}"]
+        if h is not None:
+            flags += ["--h", repr(h)]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            (tmp / "sim.cfg").write_text(spec.to_config())
+            curves = str(tmp / "curves.csv")
+            assert main(["simulate", str(tmp / "sim.cfg"), "--out",
+                         curves]) == 0
+            reports, printed = [tmp / "a.json", tmp / "b.json"], []
+            runs = (["test", curves, *flags],
+                    ["test", "--replay", str(reports[0])])
+            for argv, report in zip(runs, reports):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main([*argv, "--out", str(report)]) == 0
+                printed.append(out.getvalue())
+            assert printed[0] == printed[1]
+            assert reports[0].read_bytes() == reports[1].read_bytes()
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(8, 40), kind=st.sampled_from(["gaussian", "wiener"]),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcusum.basis import Curve, Grid, bspline_basis, fit_sample, fourier_basis
+from funcusum.basis import Grid, bspline_basis, fit_sample, fourier_basis
 from funcusum.simulate import (
     ChangeSpec,
     Far1Simulator,
@@ -23,14 +23,28 @@ from conftest import dense_gram
 
 def ar_step(kernel, basis_size):
     """The simulator's AR operator y -> integral Psi(., s) y(s) ds, applied
-    in coefficient space on its 96-point grid and cubic B-spline basis."""
+    to coefficient vectors on its 96-point grid and cubic B-spline basis."""
     sim = Far1Simulator(SimSpec(n=2, kernel=kernel, basis_size=basis_size))
-    return lambda y: Curve(sim._step @ y.coeffs, y.basis)
+    return lambda coeffs: sim._step @ coeffs
 
 
-def l2_norm(curve):
-    """L2[0,1] norm of a curve through the quadrature Gram matrix."""
-    return math.sqrt(curve.coeffs @ dense_gram(curve.basis) @ curve.coeffs)
+def l2_norm(coeffs, basis):
+    """L2[0,1] norm of a curve's coefficients through the quadrature Gram
+    matrix."""
+    return math.sqrt(coeffs @ dense_gram(basis) @ coeffs)
+
+
+def fitted_curve_delta_coeffs(shape, amplitude, grid_points, basis_size,
+                              basis_order):
+    """The shift's coefficients by the path a fitted change curve took:
+    a least-squares fit of amplitude * shape on the grid, evaluated there
+    through the design matrix and smoothed back with its pseudo-inverse."""
+    grid = Grid.uniform(grid_points)
+    design = bspline_basis(basis_size, basis_order).evaluate(grid.points)
+    fn = {"sin": np.sin, "constant": np.ones_like}[shape]
+    values = amplitude * fn(grid.points)
+    fit = np.linalg.lstsq(design, values[:, None], rcond=None)[0][:, 0]
+    return np.linalg.pinv(design) @ (design @ fit)
 
 
 def bridges(grid, seed, size):
@@ -131,27 +145,25 @@ class TestCalibrateKernel:
 
 class TestIntegralTransform:
     def test_zero_curve_maps_to_zero(self):
-        b = bspline_basis(25)
         k = calibrate_kernel("wiener", 0.7)
-        out = ar_step(k, 25)(Curve(np.zeros(25), b))
-        assert np.max(np.abs(out.coeffs)) <= 1e-12
+        out = ar_step(k, 25)(np.zeros(25))
+        assert np.max(np.abs(out)) <= 1e-12
 
     def test_zero_scale_annihilates(self):
-        b = bspline_basis(25)
         k = calibrate_kernel("gaussian", 0.0)
-        y = Curve(np.random.default_rng(0).normal(size=25), b)
+        y = np.random.default_rng(0).normal(size=25)
         out = ar_step(k, 25)(y)
-        assert np.max(np.abs(out.coeffs)) <= 1e-12
+        assert np.max(np.abs(out)) <= 1e-12
 
     def test_wiener_on_constant_matches_antiderivative(self):
         # integral of min(t,s) ds is t - t^2/2
         g = Grid.uniform(96)
         b = bspline_basis(25)
         k = calibrate_kernel("wiener", 0.6)
-        one = Curve(np.ones(25), b)  # partition of unity
+        one = np.ones(25)  # partition of unity
         out = ar_step(k, 25)(one)
         expected = k.scale * (g.points - g.points**2 / 2.0)
-        assert np.max(np.abs(out(g.points) - expected)) <= 1e-4
+        assert np.max(np.abs(b.evaluate(g.points) @ out - expected)) <= 1e-4
 
     @given(st.integers(0, 2**32 - 1),
            st.floats(0.0, 0.9),
@@ -160,27 +172,46 @@ class TestIntegralTransform:
     def test_contraction_bound(self, seed, psi, kind):
         b = bspline_basis(12)
         k = calibrate_kernel(kind, psi)
-        y = Curve(np.random.default_rng(seed).normal(size=12), b)
+        y = np.random.default_rng(seed).normal(size=12)
         out = ar_step(k, 12)(y)
-        assert l2_norm(out) <= psi * l2_norm(y) + 1e-3
+        assert l2_norm(out, b) <= psi * l2_norm(y, b) + 1e-3
 
 
 class TestChangeSpec:
     def test_theta_bounds(self):
-        delta = Curve(np.zeros(25), bspline_basis(25))
         with pytest.raises(ValueError, match="theta"):
-            ChangeSpec(theta=0.0, delta=delta)
+            ChangeSpec("sin", theta=0.0)
         with pytest.raises(ValueError):
-            ChangeSpec(theta=1.0, delta=delta)
+            ChangeSpec("constant", theta=1.0)
 
     def test_make_change_sin_shape(self):
         change = make_change("sin", 0.5, amplitude=2.0)
+        assert change == ChangeSpec("sin", 0.5, 2.0)
+        sim = Far1Simulator(SimSpec(n=2, kernel=calibrate_kernel("wiener", 0.0),
+                                    change=change))
         t = np.linspace(0, 1, 200)
-        assert np.max(np.abs(change.delta(t) - 2.0 * np.sin(t))) <= 1e-3
+        shift = sim.basis.evaluate(t) @ sim._delta_coeffs
+        assert np.max(np.abs(shift - 2.0 * np.sin(t))) <= 1e-3
 
     def test_make_change_unknown_shape(self):
         with pytest.raises(ValueError, match="shape"):
             make_change("sawtooth", 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            ChangeSpec("custom")
+
+    @pytest.mark.parametrize("shape", ["sin", "constant"])
+    @pytest.mark.parametrize("amplitude", [1.0, -2.5, 0.15])
+    @pytest.mark.parametrize("grid_points,basis_size,basis_order", [
+        (96, 25, 4), (30, 8, 4), (64, 12, 3), (97, 12, 4), (16, 4, 3)])
+    def test_shift_coefficients_match_the_fitted_curve_path_bitwise(
+            self, shape, amplitude, grid_points, basis_size, basis_order):
+        spec = SimSpec(n=2, kernel=calibrate_kernel("wiener", 0.3),
+                       change=make_change(shape, 0.5, amplitude),
+                       grid_points=grid_points, basis_size=basis_size,
+                       basis_order=basis_order)
+        oracle = fitted_curve_delta_coeffs(shape, amplitude, grid_points,
+                                           basis_size, basis_order)
+        assert np.array_equal(Far1Simulator(spec)._delta_coeffs, oracle)
 
 
 class TestFar1Generate:
@@ -248,8 +279,7 @@ class TestFar1Generate:
 
 class TestConfigRoundTrip:
     def test_round_trip_all_fields(self):
-        change = make_change("sin", 0.4, amplitude=1.5, grid_points=64,
-                             basis_size=12, basis_order=4)
+        change = make_change("sin", 0.4, amplitude=1.5)
         spec = SimSpec(n=120, kernel=calibrate_kernel("wiener", 0.6),
                        change=change, burn_in=7, seed=(1, 2), grid_points=64,
                        basis_size=12, basis_order=4)
@@ -260,9 +290,7 @@ class TestConfigRoundTrip:
         assert back.kernel.scale == pytest.approx(spec.kernel.scale, rel=1e-12)
         assert back.burn_in == 7 and back.seed == (1, 2)
         assert back.grid_points == 64 and back.basis_size == 12
-        assert back.change.shape == "sin"
-        assert back.change.theta == 0.4 and back.change.amplitude == 1.5
-        assert np.allclose(back.change.delta.coeffs, spec.change.delta.coeffs)
+        assert back.change == ChangeSpec("sin", 0.4, 1.5)
 
     @given(st.integers(2, 10_000), st.sampled_from(["gaussian", "wiener"]),
            st.floats(0.0, 0.999), st.integers(0, 500),
@@ -278,19 +306,22 @@ class TestConfigRoundTrip:
                                  grid_points, basis_size, basis_order, change):
         if change is not None:
             shape, theta, amplitude = change
-            change = make_change(shape, theta, amplitude,
-                                 grid_points=grid_points,
-                                 basis_size=basis_size,
-                                 basis_order=basis_order)
+            change = make_change(shape, theta, amplitude)
         spec = SimSpec(n=n, kernel=calibrate_kernel(kind, psi), change=change,
                        burn_in=burn_in, seed=seed, grid_points=grid_points,
                        basis_size=basis_size, basis_order=basis_order)
         back = SimSpec.from_config(spec.to_config())
         assert back.to_config() == spec.to_config()
-        assert back.kernel == spec.kernel and back.seed == seed
-        if change is not None:
-            assert np.array_equal(back.change.delta.coeffs,
-                                  spec.change.delta.coeffs)
+        assert back == spec
+
+    def test_missing_keys_take_the_dataclass_defaults(self):
+        back = SimSpec.from_config(
+            "n = 30\nkernel = wiener\npsi = 0.5\nchange_shape = sin\n")
+        assert back == SimSpec(n=30, kernel=calibrate_kernel("wiener", 0.5),
+                               change=ChangeSpec("sin"))
+        assert back.change == ChangeSpec("sin", 0.5, 1.0)
+        assert (back.burn_in, back.seed, back.grid_points, back.basis_size,
+                back.basis_order) == (100, 0, 96, 25, 4)
 
     def test_no_change_round_trip(self):
         spec = SimSpec(n=50, kernel=calibrate_kernel("gaussian", 0.3))
