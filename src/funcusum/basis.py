@@ -95,45 +95,33 @@ def _bspline_knots(size: int, order: int) -> np.ndarray:
     return np.concatenate([np.zeros(order), interior, np.ones(order)])
 
 
-def _bspline_design(x: np.ndarray, knots: np.ndarray, order: int) -> np.ndarray:
+def _bspline_design(x: np.ndarray, size: int, order: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    mat = BSpline.design_matrix(x, knots, order - 1, extrapolate=False)
+    mat = BSpline.design_matrix(x, _bspline_knots(size, order), order - 1,
+                                extrapolate=False)
     return np.asarray(mat.todense())
 
 
 @dataclass(frozen=True)
 class Basis:
-    """A fixed system of `size` basis functions on [0,1]."""
+    """A fixed system of `size` basis functions on [0,1].  A B-spline
+    basis of `order` has the knots `_bspline_knots(size, order)`."""
 
     kind: str
     size: int
     order: int | None = None
-    knots: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.knots is not None:
-            object.__setattr__(self, "knots", _readonly(self.knots))
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Design matrix of shape (len(x), size)."""
         if self.kind == "fourier":
             return _fourier_design(x, self.size)
         if self.kind == "bspline":
-            return _bspline_design(x, self.knots, self.order)
+            return _bspline_design(x, self.size, self.order)
         raise ValueError(f"unknown basis kind {self.kind!r}")
 
     @property
     def is_orthonormal(self) -> bool:
         return self.kind == "fourier"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Basis):
-            return NotImplemented
-        return (self.kind == other.kind and self.size == other.size
-                and self.order == other.order)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.size, self.order))
 
 
 def fourier_basis(size: int) -> Basis:
@@ -150,8 +138,7 @@ def bspline_basis(size: int, order: int = 4) -> Basis:
         raise ValueError("order must be positive")
     if size < order:
         raise ValueError(f"need size >= order, got size={size} order={order}")
-    return Basis(kind="bspline", size=size, order=order,
-                 knots=_bspline_knots(size, order))
+    return Basis(kind="bspline", size=size, order=order)
 
 
 @dataclass(frozen=True)
@@ -182,6 +169,7 @@ class FunctionalSample:
         """Values matrix of shape (n, len(grid))."""
         return self.coeffs @ self.basis.evaluate(grid.points).T
 
+    @functools.cached_property
     def centered(self) -> np.ndarray:
         """Coefficients minus their sample mean, rounding residue snapped to 0.
 
@@ -190,10 +178,6 @@ class FunctionalSample:
         zeros there, so residues within a few ulps of the column magnitude
         are zeroed.  Computed once per sample; the array is read-only.
         """
-        return self._centered
-
-    @functools.cached_property
-    def _centered(self) -> np.ndarray:
         c = self.coeffs - self.coeffs.mean(axis=-2, keepdims=True)
         scale = np.abs(self.coeffs).max(axis=-2, keepdims=True)
         tol = 8.0 * np.finfo(float).eps * np.log2(len(self) + 1.0) * scale
@@ -225,31 +209,32 @@ def fit_sample(values: np.ndarray, grid: Grid, basis: Basis) -> FunctionalSample
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _conversion_matrix(source: Basis, target: Basis, points: bytes) -> np.ndarray:
-    grid = Grid(np.frombuffer(points))
+def _conversion_matrix(source: Basis, target: Basis, points: int) -> np.ndarray:
+    grid = Grid.uniform(points)
     fit = _fit_matrix(source.evaluate(grid.points).T, grid, target)
     fit.setflags(write=False)
     return fit
 
 
 def change_basis(sample: FunctionalSample, target: Basis,
-                 grid: Grid | None = None) -> FunctionalSample:
-    """Re-express a sample in `target` by evaluate-then-refit on `grid`.
+                 points: int | None = None) -> FunctionalSample:
+    """Re-express a sample in `target` by evaluate-then-refit on a uniform
+    grid of `points` points.
 
     Each source basis function is fit into `target` once; row j of the fit
-    holds the target coefficients of source function j.  Defaults to a
-    uniform grid fine enough for the larger of the two bases.
+    holds the target coefficients of source function j.  The default grid
+    is fine enough for the larger of the two bases.
 
-    The fit matrix depends only on the two bases and the grid, so it is
-    memoised per process on (source basis, target basis, the grid points'
-    bytes) and kept read-only (the last _MEMO_SIZE keys are kept).  A fit
-    that fails raises on every call.
+    The fit matrix depends only on the two bases and the point count, so
+    it is memoised per process on those three values and kept read-only
+    (the last _MEMO_SIZE keys are kept).  A fit that fails raises on every
+    call.
     """
     if sample.basis == target:
         return sample
-    if grid is None:
-        grid = Grid.uniform(max(201, 4 * max(sample.basis.size, target.size) + 1))
-    fit = _conversion_matrix(sample.basis, target, grid.points.tobytes())
+    if points is None:
+        points = max(201, 4 * max(sample.basis.size, target.size) + 1)
+    fit = _conversion_matrix(sample.basis, target, points)
     return FunctionalSample(sample.coeffs @ fit, target)
 
 

@@ -23,7 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .basis import (CurveCSVError, Grid, SingularFitError, bspline_basis,
+from .basis import (CurveCSVError, SingularFitError, bspline_basis,
                     fit_sample, read_curves_csv, write_curves_csv)
 from .cusum import ApproximationFailureError, TestConfig, run_test
 from .harness import (ExperimentGrid, cells_to_csv, format_table_panels,
@@ -106,38 +106,23 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, {float: (int, float), bool: int}.get(hint, hint))
 
 
-def _parse_keep(text: str) -> tuple[int, int]:
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"--keep expects 'i..j', got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--keep expects integers, got {text!r}") from None
-    return lo, hi
-
-
-def _parse_drop(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--drop-indices expects integers, got {text!r}") from None
-
-
-def _parse_basis_smooth(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"--basis-smooth expects 'J:order', got {text!r}")
-    try:
-        size, order = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--basis-smooth expects integers, got {text!r}") from None
-    return size, order
+def _int_tuple(flag: str, sep: str, shape: str | None = None):
+    """An argparse type for `sep`-separated integers.  With `shape` (the
+    form shown in the message, such as 'i..j') the value holds exactly two;
+    without, blank items are skipped."""
+    def parse(text: str) -> tuple[int, ...]:
+        parts = text.split(sep)
+        if shape is None:
+            parts = [p for p in parts if p.strip()]
+        elif len(parts) != 2:
+            raise argparse.ArgumentTypeError(
+                f"{flag} expects {shape!r}, got {text!r}")
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{flag} expects integers, got {text!r}") from None
+    return parse
 
 
 def preprocess(values: np.ndarray, *, drop: tuple[int, ...] = (),
@@ -360,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--alpha", type=float, default=0.10)
     p_test.add_argument("--critical", default="vostrikova",
                         choices=["vostrikova", "gumbel"])
-    p_test.add_argument("--basis-smooth", type=_parse_basis_smooth,
+    p_test.add_argument("--basis-smooth",
+                        type=_int_tuple("--basis-smooth", ":", "J:order"),
                         default=(25, 4), metavar="J:ORDER",
                         help="B-spline smoothing basis (default 25:4)")
     p_test.add_argument("--fourier", type=int, default=25, metavar="J",
@@ -368,11 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--log-ratio", action="store_true",
                         help="transform curves to log(X(t)/X(0)) "
                              "(requires positive values)")
-    p_test.add_argument("--keep", type=_parse_keep, default=None,
-                        metavar="I..J",
+    p_test.add_argument("--keep", type=_int_tuple("--keep", "..", "i..j"),
+                        default=None, metavar="I..J",
                         help="keep curves i..j (1-based, inclusive, applied "
                              "after --drop-indices)")
-    p_test.add_argument("--drop-indices", type=_parse_drop, default=(),
+    p_test.add_argument("--drop-indices",
+                        type=_int_tuple("--drop-indices", ","), default=(),
                         metavar="I,J,...",
                         help="drop curves by 1-based index before --keep")
     p_test.add_argument("--out", default=None, help="JSON report path")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import FunctionalSample, Grid, change_basis, fourier_basis
+from .basis import FunctionalSample, change_basis, fourier_basis
 from .lrcov import (_check_bandwidth, _require_orthonormal, default_bandwidth,
                     lag_window, lrcov_estimate)
 
@@ -116,7 +116,7 @@ def scores(sample: FunctionalSample, eigvecs: np.ndarray, d: int,
     _require_orthonormal(sample)
     if d < 1 or d > eigvecs.shape[-1]:
         raise ValueError(f"need 1 <= d <= {eigvecs.shape[-1]}, got {d}")
-    eta = _partial_sums(sample.centered() @ eigvecs[..., :d])
+    eta = _partial_sums(sample.centered @ eigvecs[..., :d])
     if not np.all(np.isfinite(eta)):
         raise ValueError("scores must be finite")
     return eta
@@ -305,7 +305,7 @@ def _fully_functional_max(sample: FunctionalSample,
     """Weighted maximum of the norm of the full centered cumulative
     coefficient vector, and its smallest maximizing k, per sample."""
     _require_orthonormal(sample)
-    partial = _partial_sums(sample.centered())
+    partial = _partial_sums(sample.centered)
     np.square(partial, out=partial)
     return _weighted_max(np.sqrt(partial.sum(axis=-1)))
 
@@ -327,8 +327,7 @@ def cusum_stats(sample: FunctionalSample, cfg: TestConfig) -> CusumStats:
     if sample.basis.is_orthonormal:
         work = sample
     else:
-        work = change_basis(sample, fourier_basis(cfg.fourier_size),
-                            Grid.uniform(201))
+        work = change_basis(sample, fourier_basis(cfg.fourier_size), 201)
     h = float(default_bandwidth(n)) if cfg.h is None else cfg.h
     _, eigvals, eigvecs = lrcov_estimate(work, cfg.lag_kernel, h)
     eta = scores(work, eigvecs, cfg.d)

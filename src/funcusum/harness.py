@@ -101,17 +101,10 @@ class ExperimentGrid:
 
     @classmethod
     def from_config(cls, text: str) -> "ExperimentGrid":
-        raw = parse_key_values(text, _CONFIG_KEYS)
-        kwargs: dict = {}
-        for key, (name, axis, conv) in _CONFIG_KEYS.items():
-            if key not in raw:
-                continue
-            if axis:
-                parts = [p.strip() for p in raw[key].split(",") if p.strip()]
-                kwargs[name] = tuple(conv(p) for p in parts)
-            else:
-                kwargs[name] = conv(raw[key])
-        return cls(**kwargs)
+        found = parse_key_values(text, {
+            key: parse for key, (_, _, parse) in _CONFIG_KEYS.items()})
+        return cls(**{_CONFIG_KEYS[key][0]: value
+                      for key, value in found.items()})
 
 
 def _config_cell(v) -> str:
@@ -126,8 +119,8 @@ def _config_keys() -> dict[str, tuple[str, bool, Callable[[str], object]]]:
     """Config key -> (ExperimentGrid field, is an axis, value parser).
 
     An axis field holds a tuple and its key is the singular of the field
-    name (`n_values` -> `n`, `kernels` -> `kernel`); every other key is the
-    field name itself.
+    name (`n_values` -> `n`, `kernels` -> `kernel`); its parser splits the
+    value on commas.  Every other key is the field name itself.
     """
     hints = get_type_hints(ExperimentGrid)
     out = {}
@@ -136,8 +129,15 @@ def _config_keys() -> dict[str, tuple[str, bool, Callable[[str], object]]]:
         axis = get_origin(hint) is tuple
         key = f.name.removesuffix("_values").removesuffix("s") if axis else f.name
         kind = get_args(hint)[0] if axis else hint
-        out[key] = (f.name, axis, _parse_bool if kind is bool else kind)
+        conv = _parse_bool if kind is bool else kind
+        out[key] = (f.name, axis, _axis_parser(conv) if axis else conv)
     return out
+
+
+def _axis_parser(conv: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of a comma-separated axis whose cells `conv` parses."""
+    return lambda text: tuple(conv(p.strip()) for p in text.split(",")
+                              if p.strip())
 
 
 _CONFIG_KEYS = _config_keys()
@@ -383,13 +383,13 @@ def format_table_panels(results: list[CellResult]) -> str:
     One block per (kernel, alternative, h): rows are (n, psi) pairs,
     columns are d values, entries are rejection percentages.
     """
-    key_fn = lambda r: (r.coords.kernel, r.coords.alternative, r.coords.h)
     blocks = {}
     for r in results:
-        blocks.setdefault(key_fn(r), {})[
-            (r.coords.n, r.coords.psi, r.coords.d)] = r
+        c = r.coords
+        blocks.setdefault((c.kernel, c.alternative, c.h), {})[
+            (c.n, c.psi, c.d)] = r
     out = []
-    for (kernel, alt, h) in sorted(blocks, key=lambda k: (k[0], k[1], k[2])):
+    for (kernel, alt, h) in sorted(blocks):
         cellmap = blocks[(kernel, alt, h)]
         ds = sorted({d for (_, _, d) in cellmap})
         rows = sorted({(n, psi) for (n, psi, _) in cellmap})

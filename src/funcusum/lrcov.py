@@ -75,7 +75,7 @@ def lag_cov(sample: FunctionalSample, r: int) -> np.ndarray:
     n = len(sample)
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n = {n}, got r = {r}")
-    a = sample.centered()
+    a = sample.centered
     return a[..., :n - r, :].mT @ a[..., r:, :] / n
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -107,6 +107,9 @@ class ChangeSpec:
             raise ValueError(f"unknown change shape {self.shape!r}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"need 0 < theta < 1, got {self.theta}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(
+                f"need a finite change amplitude, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -151,34 +154,38 @@ class SimSpec:
     @classmethod
     def from_config(cls, text: str) -> "SimSpec":
         """Parse config text written by to_config (or by hand)."""
-        fields = parse_key_values(text, (
-            "n", "kernel", "psi", "burn_in", "seed", "grid_points",
-            "basis_size", "basis_order", "change_shape", "change_theta",
-            "change_amplitude"))
+        found = parse_key_values(text, {
+            "n": int, "kernel": str, "psi": float, "burn_in": int,
+            "seed": _parse_seed, "grid_points": int, "basis_size": int,
+            "basis_order": int, "change_shape": str, "change_theta": float,
+            "change_amplitude": float})
         for req in ("n", "kernel", "psi"):
-            if req not in fields:
+            if req not in found:
                 raise ValueError(f"missing required config key {req!r}")
-        n = int(fields["n"])
-        kernel = calibrate_kernel(fields["kernel"], float(fields["psi"]))
-        # Only the keys given are passed, so the dataclass defaults apply.
-        found = {key: parse(fields[key]) for key, parse in (
-            ("burn_in", int), ("seed", _parse_seed), ("grid_points", int),
-            ("basis_size", int), ("basis_order", int)) if key in fields}
-        shape = fields.get("change_shape", "none")
+        kernel = calibrate_kernel(found.pop("kernel"), found.pop("psi"))
+        change = {key: found.pop("change_" + key)
+                  for key in ("theta", "amplitude") if "change_" + key in found}
+        shape = found.pop("change_shape", "none")
         if shape != "none":
-            found["change"] = ChangeSpec(shape, **{
-                key: float(fields["change_" + key])
-                for key in ("theta", "amplitude") if "change_" + key in fields})
-        return cls(n=n, kernel=kernel, **found)
+            found["change"] = ChangeSpec(shape, **change)
+        elif change:
+            raise ValueError(
+                f"config keys {['change_' + key for key in change]} need a "
+                "change_shape other than 'none'")
+        # Only the keys given are passed, so the dataclass defaults apply.
+        return cls(kernel=kernel, **found)
 
 
-def parse_key_values(text: str, known: Iterable[str]) -> dict[str, str]:
-    """Split config text into `key = value` pairs.
+def parse_key_values(text: str,
+                     parsers: dict[str, Callable[[str], object]]) -> dict:
+    """Split config text into `key = value` pairs, each value converted
+    by its key's parser as it is read.
 
     `#` starts a comment and blank lines are skipped.  A line without `=`,
-    a repeated key or a key outside `known` raises ValueError.
+    a repeated key, a value its parser rejects (`line N: <key>: <reason>`)
+    or a key outside `parsers` raises ValueError.
     """
-    pairs: dict[str, str] = {}
+    pairs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,7 +196,12 @@ def parse_key_values(text: str, known: Iterable[str]) -> dict[str, str]:
         if key in pairs:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         pairs[key] = value
-    unknown = set(pairs) - set(known)
+        if key in parsers:
+            try:
+                pairs[key] = parsers[key](value)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {key}: {exc}") from None
+    unknown = set(pairs) - set(parsers)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return pairs

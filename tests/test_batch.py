@@ -340,8 +340,8 @@ def test_stacked_centering_and_lag_covariances_equal_per_sample():
     batch = fourier_batch()
     for b in range(len(SEEDS)):
         one = FunctionalSample(batch.coeffs[b], batch.basis)
-        a = one.centered()
-        assert np.array_equal(batch.centered()[b], a)
+        a = one.centered
+        assert np.array_equal(batch.centered[b], a)
         for r in range(4):
             assert np.array_equal(lag_cov(batch, r)[b],
                                   a[:60 - r].T @ a[r:] / 60)
@@ -351,7 +351,7 @@ def test_stacked_eigh_and_its_column_major_vectors():
     batch = fourier_batch()
     cov, _, _ = lrcov_estimate(batch, "bartlett", 3.0)
     vals, vecs = _abs_sorted_eigh(cov)
-    a = batch.centered()
+    a = batch.centered
     for b in range(len(SEEDS)):
         one_vals, one_vecs = per_sample_abs_sorted_eigh(cov[b])
         assert np.array_equal(vals[b], one_vals)
@@ -366,7 +366,7 @@ def test_partial_sums_built_in_one_array_equal_sum_then_slice():
     # Summing only the n - 1 rows kept, and dividing in place, saves two
     # temporaries per chunk; prefix sums do not depend on later rows.
     batch = fourier_batch()
-    for x in (batch.centered(), batch.centered()[0],
+    for x in (batch.centered, batch.centered[0],
               np.asfortranarray(batch.coeffs[0])):
         n = x.shape[-2]
         ref = np.cumsum(x, axis=-2)[..., :n - 1, :] / math.sqrt(n)

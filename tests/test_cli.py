@@ -363,6 +363,22 @@ class TestCmdTables:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("text,message", [
+        ("n = abc\n", "line 1: n: invalid literal for int() with base 10: "
+                      "'abc'"),
+        ("alternative = true\nchange_amplitude = inf\n",
+         "need a finite change amplitude, got inf"),
+    ], ids=["bad_n", "infinite_amplitude"])
+    def test_bad_setting_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                 text, message):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "cells.csv"
+        assert main(["tables", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {message}\n" in err and "cell" not in err
+        assert not out.exists()
+
     def test_replay_from_sidecar(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(TABLES_CONFIG)

@@ -99,9 +99,22 @@ class TestExperimentGrid:
             ExperimentGrid.from_config("alternative = maybe\n")
 
     @pytest.mark.parametrize("text,message", [
+        ("psi = 0.2, x\n",
+         "line 1: psi: could not convert string to float: 'x'"),
+        ("# axes\nalternative = false, maybe\n",
+         "line 2: alternative: cannot parse boolean from 'maybe'"),
+    ], ids=["float_axis", "bool_axis"])
+    def test_bad_value_names_line_and_key(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            ExperimentGrid.from_config(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text,message", [
         ("n = 30\nnot a setting\n", "line 2: expected 'key = value'"),
         ("n = 30\nn = 40\n", "line 2: duplicate key 'n'"),
         ("n = 30\nbanana = 3\n", "unknown config keys: ['banana']"),
+        ("psi = 0.2\nn = abc\n",
+         "line 2: n: invalid literal for int() with base 10: 'abc'"),
     ])
     def test_config_errors_match_simspec(self, text, message):
         for parse in (ExperimentGrid.from_config, SimSpec.from_config):
@@ -215,6 +228,7 @@ class TestRunGrid:
         dict(kernels=("gaussian", "cauchy")),
         dict(psi_values=(0.2, 1.5)),
         dict(d_values=(1, 30)),
+        dict(alternatives=(False, True), change_amplitude=math.inf),
     ])
     def test_bad_cell_setting_raises_before_any_cell(self, bad):
         g = self.small_grid(**bad)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcusum.basis import Grid, bspline_basis, fit_sample, fourier_basis
+from funcusum.cli import main
 from funcusum.simulate import (
     ChangeSpec,
     Far1Simulator,
@@ -184,6 +185,16 @@ class TestChangeSpec:
         with pytest.raises(ValueError):
             ChangeSpec("constant", theta=1.0)
 
+    def test_simulate_with_nan_amplitude_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 10\nkernel = wiener\npsi = 0.1\n"
+                       "change_shape = sin\nchange_amplitude = nan\n")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert ("input error: need a finite change amplitude, got nan"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_make_change_sin_shape(self):
         change = make_change("sin", 0.5, amplitude=2.0)
         assert change == ChangeSpec("sin", 0.5, 2.0)
@@ -348,3 +359,28 @@ class TestConfigRoundTrip:
     def test_malformed_line_reports_number(self):
         with pytest.raises(ValueError, match="line 2"):
             SimSpec.from_config("n = 30\nnot a setting\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("n = 30\nkernel = wiener\npsi = half\n",
+         "line 3: psi: could not convert string to float: 'half'"),
+        ("n = 30\nkernel = wiener\npsi = 0.5\nseed = 1, x\n",
+         "line 4: seed: invalid literal for int() with base 10: 'x'"),
+    ], ids=["psi", "seed"])
+    def test_bad_value_names_line_and_key(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            SimSpec.from_config(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("shape_line", ["", "change_shape = none\n"])
+    @pytest.mark.parametrize("change_lines,keys", [
+        ("change_theta = 0.3\n", "['change_theta']"),
+        ("change_theta = 0.3\nchange_amplitude = 2\n",
+         "['change_theta', 'change_amplitude']"),
+    ])
+    def test_change_keys_without_a_shape_rejected(self, shape_line,
+                                                   change_lines, keys):
+        text = "n = 10\nkernel = wiener\npsi = 0.1\n" + shape_line + change_lines
+        with pytest.raises(ValueError) as exc:
+            SimSpec.from_config(text)
+        assert str(exc.value) == (
+            f"config keys {keys} need a change_shape other than 'none'")
