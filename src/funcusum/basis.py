@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 
 # Conversion matrices kept by change_basis's per-process memo.
@@ -96,10 +95,37 @@ def _bspline_knots(size: int, order: int) -> np.ndarray:
 
 
 def _bspline_design(x: np.ndarray, size: int, order: int) -> np.ndarray:
+    """Dense (len(x), size) matrix of the B-splines of `order` on the knots
+    `_bspline_knots(size, order)`, evaluated at x in [0, 1].
+
+    Cox-de Boor recursion (de Boor 1972), vectorised over x.  It performs
+    the IEEE operations of scipy's BSpline.design_matrix in the same order,
+    so the two agree bit for bit.
+    """
     x = np.asarray(x, dtype=float)
-    mat = BSpline.design_matrix(x, _bspline_knots(size, order), order - 1,
-                                extrapolate=False)
-    return np.asarray(mat.todense())
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # also false for nan
+        raise ValueError("B-spline abscissae must lie in [0, 1]")
+    t = _bspline_knots(size, order)
+    k = order - 1
+    # t[ell] <= x < t[ell + 1], with x = 1 in the last nonempty span.
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, size - 1)
+    h = np.zeros((order, x.size))
+    h[0] = 1.0
+    for j in range(1, order):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for n in range(1, j + 1):
+            xb = t[ell + n]
+            xa = t[ell + n - j]
+            same = xb == xa
+            w = hh[n - 1] / np.where(same, 1.0, xb - xa)
+            # Where the knots coincide h[n - 1] is left as it is (adding
+            # +0.0 would turn a -0.0 into +0.0) and h[n] is 0.
+            h[n - 1] = np.where(same, h[n - 1], h[n - 1] + w * (xb - x))
+            h[n] = np.where(same, 0.0, w * (x - xa))
+    out = np.zeros((x.size, size))
+    out[np.arange(x.size)[:, None], (ell - k)[:, None] + np.arange(order)] = h.T
+    return out
 
 
 @dataclass(frozen=True)

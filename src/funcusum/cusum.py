@@ -239,11 +239,17 @@ def vostrikova_tail(x: float, n: int, d: int) -> float:
     if x <= math.sqrt(d):
         raise ValueError(
             f"expansion needs x > sqrt(d) = {math.sqrt(d):.6f}, got {x}")
-    log_lead = (d * math.log(x) - 0.5 * x * x - 0.5 * d * math.log(2.0)
+    return min(max(_expansion(x, d, hn, math.log, math.exp), 0.0), 1.0)
+
+
+def _expansion(x, d: int, hn: float, log, exp):
+    """Vostrikova's expansion at x, unclamped, with the given log and exp:
+    math's for a float, numpy's for an array."""
+    log_lead = (d * log(x) - 0.5 * x * x - 0.5 * d * math.log(2.0)
                 - math.lgamma(0.5 * d))
     big_l = math.log((1.0 - hn) ** 2 / hn ** 2)
     brace = (1.0 - d / (x * x)) * big_l + 4.0 / (x * x)
-    return min(max(math.exp(log_lead) * brace, 0.0), 1.0)
+    return exp(log_lead) * brace
 
 
 def vostrikova_pvalue(t_stat: float, n: int, d: int) -> float:
@@ -258,11 +264,19 @@ def vostrikova_pvalue(t_stat: float, n: int, d: int) -> float:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _tail_peak(n: int, d: int) -> tuple[float, float]:
     """Argmax and maximum of vostrikova_tail on a 2048-point scan of
-    [sqrt(d) + 1e-6, 50], memoised on (n, d)."""
+    [sqrt(d) + 1e-6, 50], memoised on (n, d).
+
+    The scan evaluates the expansion on the whole array at once; numpy's
+    log and exp may round differently from math's, so the maximum is
+    taken again from the scalar vostrikova_tail at the argmax.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     xs = np.linspace(math.sqrt(d) + 1e-6, 50.0, 2048)
-    vals = np.array([vostrikova_tail(float(x), n, d) for x in xs])
-    top = int(np.argmax(vals))
-    return float(xs[top]), float(vals[top])
+    vals = _expansion(xs, d, _truncation(n), np.log, np.exp)
+    top = int(np.argmax(np.clip(vals, 0.0, 1.0)))
+    x_top = float(xs[top])
+    return x_top, vostrikova_tail(x_top, n, d)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .cusum import TestConfig, cusum_stats, run_test, vostrikova_critical
-from .simulate import (Far1Simulator, SimSpec, calibrate_kernel, make_change,
-                       parse_key_values)
+from .simulate import (ChangeSpec, Far1Simulator, SimSpec, calibrate_kernel,
+                       make_change, parse_key_values)
 
 
 # Replications per batch, and the unit of work of one thread.  Larger
@@ -81,6 +81,8 @@ class ExperimentGrid:
                 raise ValueError(f"{name} must be nonempty")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        # Checked on a null-only grid too: the sidecar records the settings.
+        ChangeSpec(self.change_shape, self.theta, self.change_amplitude)
 
     def cells(self) -> list["CellCoords"]:
         """All cells in the fixed product order that defines cell indices."""

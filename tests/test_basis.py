@@ -15,6 +15,7 @@ from funcusum.basis import (
     FunctionalSample,
     Grid,
     SingularFitError,
+    _bspline_design,
     _bspline_knots,
     _conversion_matrix,
     _fit_matrix,
@@ -194,6 +195,64 @@ class TestBsplineBasis:
         b = bspline_basis(25, order=4)
         t = np.linspace(0, 1, 301)
         assert np.max(np.abs(b.evaluate(t).sum(axis=1) - 1.0)) <= 1e-10
+
+
+def design_grids(size, order):
+    """Abscissae the design is checked on: uniform grids, the distinct
+    knots, points just off the knots, and min-max rescaled raw abscissae
+    as read_curves_csv makes them."""
+    knots = np.unique(_bspline_knots(size, order))
+    near = np.clip(np.concatenate([np.nextafter(knots, -1.0),
+                                   np.nextafter(knots, 2.0)]), 0.0, 1.0)
+    grids = [np.linspace(0.0, 1.0, m) for m in (2, 3, 7, 96, 201, 1001)]
+    grids += [knots, np.unique(np.concatenate([knots, near]))]
+    rng = np.random.default_rng(1000 * size + order)
+    for _ in range(3):
+        raw = np.unique(rng.uniform(-50.0, 50.0, rng.integers(2, 300)))
+        pts = (raw - raw[0]) / (raw[-1] - raw[0])
+        pts[-1] = 1.0
+        grids.append(pts)
+    return grids
+
+
+DESIGN_SHAPES = [(size, order) for order in range(1, 7)
+                 for size in range(order, 61)]
+
+
+class TestBsplineDesign:
+    def test_bitwise_equal_to_scipy_design_matrix(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        for size, order in DESIGN_SHAPES:
+            knots = _bspline_knots(size, order)
+            for x in design_grids(size, order):
+                oracle = interpolate.BSpline.design_matrix(
+                    x, knots, order - 1, extrapolate=False).toarray()
+                ours = _bspline_design(x, size, order)
+                assert ours.tobytes() == oracle.tobytes(), (size, order, x)
+
+    @pytest.mark.parametrize("size,order", DESIGN_SHAPES[::7])
+    def test_rows_are_a_nonnegative_local_partition_of_unity(self, size,
+                                                             order):
+        knots = _bspline_knots(size, order)
+        for x in design_grids(size, order):
+            design = _bspline_design(x, size, order)
+            assert design.shape == (x.size, size)
+            assert np.all(design >= 0.0)
+            assert np.max(np.abs(design.sum(axis=1) - 1.0)) <= 1e-12
+            # Row i is zero outside columns ell-k..ell of x's knot span.
+            ell = np.minimum(np.searchsorted(knots, x, side="right") - 1,
+                             size - 1)
+            cols = np.arange(size)
+            outside = ((cols < (ell - order + 1)[:, None])
+                       | (cols > ell[:, None]))
+            assert not design[outside].any()
+            assert np.all(np.count_nonzero(design, axis=1) <= order)
+
+    @pytest.mark.parametrize("x", [-1e-12, 1.0 + 1e-12, -np.inf, np.inf,
+                                   np.nan])
+    def test_abscissa_outside_unit_interval_raises(self, x):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bspline_basis(8, order=4).evaluate(np.array([0.0, x, 1.0]))
 
 
 def fit_one(values, grid, basis):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -368,7 +369,14 @@ class TestCmdTables:
                       "'abc'"),
         ("alternative = true\nchange_amplitude = inf\n",
          "need a finite change amplitude, got inf"),
-    ], ids=["bad_n", "infinite_amplitude"])
+        # A null-only grid records its change settings in the sidecar.
+        (TABLES_CONFIG + "change_amplitude = inf\n",
+         "need a finite change amplitude, got inf"),
+        (TABLES_CONFIG + "theta = 7\n", "need 0 < theta < 1, got 7.0"),
+        (TABLES_CONFIG + "change_amplitude = inf\ntheta = 7\n"
+         "change_shape = sawtooth\n", "unknown change shape 'sawtooth'"),
+    ], ids=["bad_n", "infinite_amplitude", "null_infinite_amplitude",
+            "null_theta", "null_all_three"])
     def test_bad_setting_exits_2_before_any_cell(self, tmp_path, capsys,
                                                  text, message):
         cfg = tmp_path / "grid.cfg"
@@ -861,3 +869,23 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("funcusum ")
+
+    def test_fresh_process_loads_no_scipy(self):
+        # scipy.interpolate alone took most of a fresh process's start-up;
+        # the package needs numpy only, on the whole simulate-test path.
+        script = (
+            "import sys\n"
+            "import funcusum.cli\n"
+            "from funcusum.cusum import TestConfig, run_test\n"
+            "from funcusum.simulate import Far1Simulator, SimSpec\n"
+            "spec = SimSpec.from_config('n = 30\\nkernel = wiener\\n"
+            "psi = 0.3\\nburn_in = 5\\nchange_shape = sin\\n')\n"
+            "res = run_test(Far1Simulator(spec).generate(), TestConfig(d=2))\n"
+            "assert res.n == 30, res\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

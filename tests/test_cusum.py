@@ -324,6 +324,20 @@ class TestVostrikovaCritical:
         for _ in range(2):  # the first call may fill the memo, the second hits it
             assert vostrikova_critical(alpha, n, d).hex() == fresh.hex()
 
+    def test_array_scan_equals_scalar_scan_bitwise(self):
+        # The bisection starts from the scan's argmax, so the array scan
+        # must pick the point the scalar vostrikova_tail loop picks.  alpha
+        # plays no part in the scan.
+        ns = [*range(2, 2000, 37), 4993, 10**4, 10**5, 10**6, 10**9]
+        for n in ns:
+            for d in range(1, 11):
+                xs = np.linspace(math.sqrt(d) + 1e-6, 50.0, 2048)
+                vals = [vostrikova_tail(float(x), n, d) for x in xs]
+                top = int(np.argmax(vals))
+                expected = (float(xs[top]).hex(), vals[top].hex())
+                got = _tail_peak.__wrapped__(n, d)
+                assert (got[0].hex(), got[1].hex()) == expected, (n, d)
+
 
 def statistic_near(crit, d, where, scale, nudge):
     """A statistic anywhere up to twice the critical value, near it, or

@@ -39,7 +39,8 @@ GRIDS = st.builds(
     kernels=axis(st.sampled_from(["gaussian", "wiener"])),
     h_values=axis(FINITE), d_values=axis(st.integers(1, 30)),
     alternatives=axis(st.booleans()), replications=st.integers(1, 10**6),
-    alpha=FINITE, seed=st.integers(0, 2**63), theta=FINITE,
+    alpha=FINITE, seed=st.integers(0, 2**63),
+    theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     change_shape=st.sampled_from(["sin", "constant"]),
     change_amplitude=FINITE,
     lag_kernel=st.sampled_from(["plain", "bartlett", "parzen", "flattop"]),
@@ -129,6 +130,18 @@ class TestExperimentGrid:
     def test_replications_guard(self):
         with pytest.raises(ValueError, match="replication"):
             ExperimentGrid(replications=0)
+
+    @pytest.mark.parametrize("bad,message", [
+        (dict(change_amplitude=math.inf), "finite change amplitude"),
+        (dict(theta=7.0), "theta"),
+        (dict(change_shape="sawtooth"), "unknown change shape"),
+        (dict(change_amplitude=math.inf, theta=7.0, change_shape="sawtooth"),
+         "unknown change shape 'sawtooth'"),
+    ])
+    def test_change_settings_checked_on_null_only_grid(self, bad, message):
+        # The sidecar records them, so a null-only grid checks them too.
+        with pytest.raises(ValueError, match=message):
+            ExperimentGrid(alternatives=(False,), **bad)
 
 
 class TestRunCell:
@@ -231,10 +244,10 @@ class TestRunGrid:
         dict(alternatives=(False, True), change_amplitude=math.inf),
     ])
     def test_bad_cell_setting_raises_before_any_cell(self, bad):
-        g = self.small_grid(**bad)
         seen = []
         with pytest.raises(ValueError):
-            run_grid(g, progress=seen.append, timer=FROZEN_TIMER)
+            run_grid(self.small_grid(**bad), progress=seen.append,
+                     timer=FROZEN_TIMER)
         assert seen == []
 
     def test_alpha_without_vostrikova_root_raises_before_any_cell(self):
