@@ -12,8 +12,8 @@ from .basis import (Basis, CurveCSVError, CurveMatrix, FunctionalSample,
                     fit_sample, fourier_basis, read_curves_csv,
                     write_curves_csv)
 from .cusum import (ApproximationFailureError, CusumStats, TestConfig,
-                    TestResult, cusum_stats, gumbel_critical, gumbel_pvalue,
-                    normalizers, run_test, scores, statistic,
+                    TestResult, critical_value, cusum_stats, gumbel_critical,
+                    gumbel_pvalue, normalizers, run_test, scores, statistic,
                     vostrikova_critical, vostrikova_pvalue, vostrikova_tail)
 from .harness import (CellCoords, CellResult, ExperimentGrid, cells_to_csv,
                       format_table_panels, grid_sidecar, run_cell, run_grid)
@@ -27,7 +27,7 @@ __all__ = [
     "ExperimentGrid", "Far1Simulator", "FunctionalSample", "Grid",
     "IntegralKernel", "SimSpec", "SingularFitError", "TestConfig",
     "TestResult", "bspline_basis", "calibrate_kernel", "cells_to_csv",
-    "change_basis", "cusum_stats", "default_bandwidth",
+    "change_basis", "critical_value", "cusum_stats", "default_bandwidth",
     "fit_sample", "format_table_panels", "fourier_basis", "grid_sidecar",
     "gumbel_critical", "gumbel_pvalue", "lag_cov", "lag_window",
     "lrcov_estimate", "make_change", "normalizers", "read_curves_csv",

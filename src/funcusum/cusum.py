@@ -13,7 +13,6 @@ weighted bridge supremum V_n restricted to I_n = [h_n, 1-h_n].
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -23,11 +22,6 @@ import numpy as np
 from .basis import FunctionalSample, change_basis, fourier_basis
 from .lrcov import (_check_bandwidth, _require_orthonormal, default_bandwidth,
                     lag_window, lrcov_estimate)
-
-
-# Entries kept by each per-process memo below.  A Monte Carlo cell reuses
-# one key for all its replications, so the bound only limits memory.
-_MEMO_SIZE = 256
 
 
 class ApproximationFailureError(RuntimeError):
@@ -66,7 +60,6 @@ class CusumStats(NamedTuple):
 
     h: float
     statistic: np.ndarray
-    critical_value: float
     k_standardized: np.ndarray
     k_unstandardized: np.ndarray
     k_fully_functional: np.ndarray
@@ -122,13 +115,10 @@ def scores(sample: FunctionalSample, eigvecs: np.ndarray, d: int,
     return eta
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _weights(n: int) -> np.ndarray:
-    """w(k/n) for k = 1..n-1, memoised on n; the array is read-only."""
+    """w(k/n) for k = 1..n-1."""
     k = np.arange(1, n, dtype=float) / n
-    w = 1.0 / np.sqrt(k * (1.0 - k))
-    w.setflags(write=False)
-    return w
+    return 1.0 / np.sqrt(k * (1.0 - k))
 
 
 def _weighted_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,10 +251,9 @@ def vostrikova_pvalue(t_stat: float, n: int, d: int) -> float:
     return vostrikova_tail(t_stat, n, d)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _tail_peak(n: int, d: int) -> tuple[float, float]:
     """Argmax and maximum of vostrikova_tail on a 2048-point scan of
-    [sqrt(d) + 1e-6, 50], memoised on (n, d).
+    [sqrt(d) + 1e-6, 50].
 
     The scan evaluates the expansion on the whole array at once; numpy's
     log and exp may round differently from math's, so the maximum is
@@ -279,7 +268,6 @@ def _tail_peak(n: int, d: int) -> tuple[float, float]:
     return x_top, vostrikova_tail(x_top, n, d)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def vostrikova_critical(alpha: float, n: int, d: int) -> float:
     """Root of vostrikova_tail(x) = alpha by bisection on [sqrt(d)+1e-6, 50].
 
@@ -288,11 +276,6 @@ def vostrikova_critical(alpha: float, n: int, d: int) -> float:
     close to 1 the target can exceed the expansion's maximum, in which case
     an ApproximationFailureError is raised (central quantiles are outside
     the expansion's reach).
-
-    The root depends on (alpha, n, d) alone, so it is memoised per process
-    on that key (the last _MEMO_SIZE keys are kept), and the scan on (n, d)
-    in _tail_peak.  Errors are not memoised: an alpha with no root raises
-    on every call.  vostrikova_critical.__wrapped__ skips the first memo.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -349,20 +332,25 @@ def cusum_stats(sample: FunctionalSample, cfg: TestConfig) -> CusumStats:
     t_stat, k_std = statistic(eta, lam)
     _, k_unstd = statistic(eta)
     _, k_full = _fully_functional_max(work)
-    if cfg.critical_method == "vostrikova":
-        crit = vostrikova_critical(cfg.alpha, n, cfg.d)
-    else:
-        crit = gumbel_critical(cfg.alpha, n, cfg.d)
-    return CusumStats(h, t_stat, crit, k_std, k_unstd, k_full,
+    return CusumStats(h, t_stat, k_std, k_unstd, k_full,
                       np.any(lam <= 0.0, axis=-1))
+
+
+def critical_value(cfg: TestConfig, n: int) -> float:
+    """Critical value for T at cfg.alpha and cfg.d for n curves, by
+    cfg.critical_method; it depends on neither the data nor the batch."""
+    if cfg.critical_method == "vostrikova":
+        return vostrikova_critical(cfg.alpha, n, cfg.d)
+    return gumbel_critical(cfg.alpha, n, cfg.d)
 
 
 def run_test(sample: FunctionalSample, cfg: TestConfig) -> TestResult:
     """Full pipeline for one sample: cusum_stats on a batch of one, then
-    the normalized statistic and both p-values."""
+    the critical value, the normalized statistic and both p-values."""
     n = len(sample)
     stats = cusum_stats(FunctionalSample(sample.coeffs[None], sample.basis),
                         cfg)
+    crit = critical_value(cfg, n)
     t_stat = float(stats.statistic[0])
     a, b = normalizers(n, cfg.d)
     normalized = a * t_stat - b if math.isfinite(t_stat) else math.inf
@@ -371,8 +359,7 @@ def run_test(sample: FunctionalSample, cfg: TestConfig) -> TestResult:
         critical_method=cfg.critical_method, statistic=t_stat,
         normalized=normalized, p_gumbel=gumbel_pvalue(t_stat, n, cfg.d),
         p_vostrikova=vostrikova_pvalue(t_stat, n, cfg.d),
-        critical_value=stats.critical_value,
-        reject=bool(t_stat > stats.critical_value),
+        critical_value=crit, reject=bool(t_stat > crit),
         k_hat_standardized=int(stats.k_standardized[0]),
         k_hat_unstandardized=int(stats.k_unstandardized[0]),
         k_hat_fully_functional=int(stats.k_fully_functional[0]),

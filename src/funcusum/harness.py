@@ -4,10 +4,13 @@ One cell = one (n, kernel, psi, h, d, alternative) coordinate; R
 replications per cell, each replication an independent simulate -> test
 run.  Per-replication RNG streams derive from (master seed, cell index,
 replication index), so any cell can be reproduced in isolation and results
-do not depend on scheduling.  A cell runs its replications in chunks of
-_CHUNK through the pipeline's batched kernels, one chunk per usable CPU at
-a time, with numpy's bundled OpenBLAS held at one thread; every number
-equals that of running the replications one at a time.
+do not depend on scheduling.  A cell's critical value depends on its
+(alpha, n, d) alone, so it is computed once, at set-up; a Gumbel cell
+with n <= 2 has none, and stops the grid there.  A cell runs its
+replications in chunks of _CHUNK through the pipeline's batched kernels,
+one chunk per usable CPU at a time, with numpy's bundled OpenBLAS held at
+one thread; every number equals that of running the replications one at
+a time.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .cusum import TestConfig, cusum_stats, run_test, vostrikova_critical
+from .cusum import TestConfig, critical_value, cusum_stats, run_test
 from .simulate import (ChangeSpec, Far1Simulator, SimSpec, calibrate_kernel,
                        make_change, parse_key_values)
 
@@ -81,6 +84,8 @@ class ExperimentGrid:
                 raise ValueError(f"{name} must be nonempty")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # Checked on a null-only grid too: the sidecar records the settings.
         ChangeSpec(self.change_shape, self.theta, self.change_amplitude)
 
@@ -173,9 +178,10 @@ class CellResult:
     error: str | None = None
 
 
-def _cell_setup(coords: CellCoords,
-                settings: ExperimentGrid) -> tuple[SimSpec, TestConfig]:
-    """SimSpec and TestConfig of one cell; ValueError on any bad setting,
+def _cell_setup(coords: CellCoords, settings: ExperimentGrid,
+                ) -> tuple[SimSpec, TestConfig, float]:
+    """SimSpec, TestConfig and critical value of one cell; ValueError on
+    any bad setting (a Gumbel cell with n <= 2 included), and
     ApproximationFailureError for an alpha with no Vostrikova root."""
     change = None
     if coords.alternative:
@@ -191,10 +197,7 @@ def _cell_setup(coords: CellCoords,
                      lag_kernel=settings.lag_kernel, alpha=settings.alpha,
                      critical_method=settings.critical_method,
                      fourier_size=settings.fourier_size)
-    if cfg.critical_method == "vostrikova":
-        # Memoised, so the replications read the same value.
-        vostrikova_critical(cfg.alpha, coords.n, cfg.d)
-    return spec, cfg
+    return spec, cfg, critical_value(cfg, coords.n)
 
 
 def _usable_cpus() -> int:
@@ -234,11 +237,10 @@ def _one_blas_thread():
         set_(count)
 
 
-def _replicate(coords: CellCoords, spec: SimSpec, cfg: TestConfig,
-               settings: ExperimentGrid,
+def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
+               crit: float, settings: ExperimentGrid,
                timer: Callable[[], float]) -> CellResult:
     start = timer()
-    sim = Far1Simulator(spec)
     replications = settings.replications
     chunks = [[(settings.seed, coords.index, rep)
                for rep in range(first, min(first + _CHUNK, replications))]
@@ -248,7 +250,7 @@ def _replicate(coords: CellCoords, spec: SimSpec, cfg: TestConfig,
 
     def batch(streams):
         stats = cusum_stats(sim.generate(streams), cfg)
-        return list(zip((stats.statistic > stats.critical_value).tolist(),
+        return list(zip((stats.statistic > crit).tolist(),
                         stats.k_standardized.tolist()))
 
     # Rounds of one chunk per CPU: the calling thread runs the first and
@@ -296,10 +298,12 @@ def run_cell(coords: CellCoords, settings: ExperimentGrid,
     Replication r uses the stream (settings.seed, coords.index, r).  A
     failing replication aborts the cell; its stream tuple is recorded in
     `error` and the aggregate fields are NaN.  A bad cell setting raises
-    ValueError, and an alpha with no Vostrikova root raises
+    ValueError (so does a Gumbel cell with n <= 2, which has no critical
+    value), and an alpha with no Vostrikova root raises
     ApproximationFailureError, before any replication runs.
     """
-    return _replicate(coords, *_cell_setup(coords, settings), settings, timer)
+    spec, cfg, crit = _cell_setup(coords, settings)
+    return _replicate(coords, Far1Simulator(spec), cfg, crit, settings, timer)
 
 
 def run_grid(grid: ExperimentGrid,
@@ -308,16 +312,20 @@ def run_grid(grid: ExperimentGrid,
              ) -> list[CellResult]:
     """Evaluate every cell; failed cells are reported, the run continues.
 
-    Every cell is set up before the first one runs, so a bad setting in
-    any cell raises ValueError (ApproximationFailureError for an alpha with
-    no Vostrikova root) before any replication has run.  Results
+    Every cell is set up, and one simulator built per distinct SimSpec,
+    before the first cell runs.  So a bad setting in any cell raises
+    ValueError (a Gumbel cell with n <= 2 included; SingularFitError where
+    a simulator cannot be built, ApproximationFailureError for an alpha
+    with no Vostrikova root) before any replication has run.  Results
     appear in cell-index order regardless of execution schedule.
     """
     cells = grid.cells()
     setups = [_cell_setup(coords, grid) for coords in cells]
+    sims = {spec: Far1Simulator(spec)
+            for spec in dict.fromkeys(spec for spec, _, _ in setups)}
     results = []
-    for coords, (spec, cfg) in zip(cells, setups):
-        res = _replicate(coords, spec, cfg, grid, timer)
+    for coords, (spec, cfg, crit) in zip(cells, setups):
+        res = _replicate(coords, sims[spec], cfg, crit, grid, timer)
         results.append(res)
         if progress is not None:
             progress(res)
@@ -359,14 +367,10 @@ def grid_sidecar(grid: ExperimentGrid, results: list[CellResult], *,
                  timing: bool = True) -> dict:
     """Provenance record: the full grid, seed, audit counters, failures;
     timing=False records 0.0 seconds per cell, as cells_to_csv does."""
-    grid_dict = {}
-    for f in fields(grid):
-        value = getattr(grid, f.name)
-        grid_dict[f.name] = list(value) if isinstance(value, tuple) else value
     return {
         "schema": "funcusum-tables-1",
         "version": __version__,
-        "grid": grid_dict,
+        "grid": asdict(grid),
         "master_seed": grid.seed,
         "cells": len(results),
         "replications_per_cell": grid.replications,

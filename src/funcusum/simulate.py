@@ -130,6 +130,10 @@ class SimSpec:
             raise ValueError("need n >= 2 curves")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
+        seeds = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if any(one < 0 for one in seeds):
+            raise ValueError(
+                f"seed must be nonnegative, got {_seed_str(self.seed)}")
 
     def to_config(self) -> str:
         """Serialize to `key = value` lines (round trips via from_config)."""

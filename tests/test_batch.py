@@ -58,7 +58,7 @@ def per_sample_abs_sorted_eigh(c):
 
 def fold(coords, grid):
     """The CellResult of running the cell's replications one at a time."""
-    spec, cfg = _cell_setup(coords, grid)
+    spec, cfg, _ = _cell_setup(coords, grid)
     sim = Far1Simulator(spec)
     results = [run_test(sim.generate((grid.seed, coords.index, rep)), cfg)
                for rep in range(grid.replications)]

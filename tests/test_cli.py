@@ -335,6 +335,16 @@ class TestCmdSimulate:
         assert data.grid.points.tobytes() == sim.grid.points.tobytes()
         assert data.rescaled is False
 
+    @pytest.mark.parametrize("seed", ["-3", "1, -2"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG.replace("seed = 1", f"seed = {seed}"))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert (f"input error: seed must be nonnegative, got "
+                f"{seed.replace(' ', '')}\n" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("n = 10\nkernel = wiener\npsi = 0.5\nwhatever = 1\n")
@@ -375,8 +385,10 @@ class TestCmdTables:
         (TABLES_CONFIG + "theta = 7\n", "need 0 < theta < 1, got 7.0"),
         (TABLES_CONFIG + "change_amplitude = inf\ntheta = 7\n"
          "change_shape = sawtooth\n", "unknown change shape 'sawtooth'"),
+        (TABLES_CONFIG.replace("seed = 2", "seed = -1"),
+         "seed must be nonnegative, got -1"),
     ], ids=["bad_n", "infinite_amplitude", "null_infinite_amplitude",
-            "null_theta", "null_all_three"])
+            "null_theta", "null_all_three", "negative_seed"])
     def test_bad_setting_exits_2_before_any_cell(self, tmp_path, capsys,
                                                  text, message):
         cfg = tmp_path / "grid.cfg"
@@ -477,6 +489,29 @@ class TestCmdTables:
         err = capsys.readouterr().err
         assert "numerical failure: tail expansion peaks" in err
         assert not any(line.startswith("cell ") for line in err.splitlines())
+        assert not out.exists()
+
+    def test_gumbel_cell_without_critical_value_exit_2_before_any_cell(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG.replace("n = 30", "n = 2, 30")
+                       + "critical_method = gumbel\n")
+        out = tmp_path / "cells.csv"
+        assert main(["tables", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("input error: normalizers need log log n > 0, got n = 2\n"
+                in err)
+        assert not any(line.startswith("cell ") for line in err.splitlines())
+        assert not out.exists()
+
+    def test_negative_seed_flag_exit_2_before_any_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG)
+        out = tmp_path / "cells.csv"
+        assert main(["tables", str(cfg), "--seed", "-1", "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error: seed must be nonnegative, got -1\n" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("h,message", [

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funcusum import cusum
 from funcusum.basis import FunctionalSample
 from funcusum.cusum import ApproximationFailureError, run_test
 from funcusum.harness import (
@@ -152,6 +153,21 @@ class TestRunCell:
         b = run_cell(c, g, timer=FROZEN_TIMER)
         assert a == b
 
+    def test_critical_value_computed_once_per_cell(self, monkeypatch):
+        calls = []
+        solve = cusum.vostrikova_critical
+
+        def counted(alpha, n, d):
+            calls.append((alpha, n, d))
+            return solve(alpha, n, d)
+
+        monkeypatch.setattr(cusum, "vostrikova_critical", counted)
+        g = ExperimentGrid(replications=2 * _CHUNK + 3, seed=4, burn_in=10)
+        res = run_cell(CellCoords(0, 40, "gaussian", 0.2, 1.0, 2, False), g,
+                       timer=FROZEN_TIMER)
+        assert res.error is None and res.completed == 2 * _CHUNK + 3
+        assert calls == [(0.10, 40, 2)]
+
     def test_null_cell_rejection_plausible(self):
         g = ExperimentGrid(replications=200, seed=0)
         c = CellCoords(0, 100, "gaussian", 0.2, 2.0, 2, False)
@@ -202,7 +218,7 @@ class TestRunCell:
             return FunctionalSample(coeffs, sample.basis)
 
         monkeypatch.setattr(Far1Simulator, "generate", poisoned)
-        spec, cfg = _cell_setup(c, g)
+        spec, cfg, _ = _cell_setup(c, g)
         with pytest.raises(Exception) as alone:
             run_test(Far1Simulator(spec).generate(bad), cfg)
         res = run_cell(c, g, timer=FROZEN_TIMER)
@@ -242,6 +258,12 @@ class TestRunGrid:
         dict(psi_values=(0.2, 1.5)),
         dict(d_values=(1, 30)),
         dict(alternatives=(False, True), change_amplitude=math.inf),
+        dict(seed=-1),
+        # A Gumbel cell with n = 2 has no critical value (log log n > 0).
+        dict(n_values=(2, 30), critical_method="gumbel"),
+        # Ten grid points cannot fit the change in 25 B-splines, so only
+        # the power cells' simulator fails to build (SingularFitError).
+        dict(alternatives=(False, True), grid_points=10),
     ])
     def test_bad_cell_setting_raises_before_any_cell(self, bad):
         seen = []
@@ -278,8 +300,7 @@ class TestRunGrid:
         assert side["expected_replications"] == 12
         assert side["total_replications"] == 6  # two failed cells at rep 0
         assert len(side["failed_cells"]) == 2
-        assert side["grid"]["n_values"] == [2, 30]
-        json.dumps(side)  # must be serializable
+        assert json.loads(json.dumps(side))["grid"]["n_values"] == [2, 30]
 
     def test_csv_byte_identical_without_timing(self, tmp_path):
         g = self.small_grid()

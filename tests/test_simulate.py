@@ -287,6 +287,11 @@ class TestFar1Generate:
         with pytest.raises(ValueError, match="burn_in"):
             SimSpec(n=10, kernel=calibrate_kernel("wiener", 0.5), burn_in=-1)
 
+    @pytest.mark.parametrize("seed", [-1, (3, -1, 2)])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SimSpec(n=10, kernel=calibrate_kernel("wiener", 0.5), seed=seed)
+
 
 class TestConfigRoundTrip:
     def test_round_trip_all_fields(self):
