@@ -8,9 +8,12 @@ do not depend on scheduling.  A cell's critical value depends on its
 (alpha, n, d) alone, so it is computed once, at set-up; a Gumbel cell
 with n <= 2 has none, and stops the grid there.  A cell runs its
 replications in chunks of _CHUNK through the pipeline's batched kernels,
-one chunk per usable CPU at a time, with numpy's bundled OpenBLAS held at
-one thread; every number equals that of running the replications one at
-a time.
+with numpy's bundled OpenBLAS held at one thread, and deals the chunks
+round robin to the calling process and one forked worker process per
+further usable CPU, up to one per chunk.  Each worker pipes its outcomes
+back and exits; a share that a worker does not deliver is run by the
+calling process, and no worker outlives the cell.  Every number equals
+that of running the replications one at a time in the calling process.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import glob
 import itertools
 import math
 import os
+import pickle
+import signal
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, get_args, get_origin, get_type_hints
 
@@ -37,9 +41,10 @@ from .simulate import (ChangeSpec, Far1Simulator, SimSpec, calibrate_kernel,
                        make_change, parse_key_values)
 
 
-# Replications per batch, and the unit of work of one thread.  Larger
-# chunks gain little more speed, and every CPU holds the temporaries of
-# one chunk, so they raise the peak memory of a cell.
+# Replications per batch, and the unit of work of a cell's processes.
+# Larger chunks gain little more speed, and every worker, like the calling
+# process, holds the temporaries of one chunk, so they raise the peak
+# memory of a cell.
 _CHUNK = 16
 
 
@@ -201,10 +206,11 @@ def _cell_setup(coords: CellCoords, settings: ExperimentGrid,
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
+    """CPUs this process may run on; 1 where affinity is unknown (macOS,
+    Windows), so that a cell forks no worker there."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return 1
 
 
 @functools.cache
@@ -227,7 +233,7 @@ def _openblas_threads() -> tuple[Callable, Callable] | None:
 def _one_blas_thread():
     """Hold numpy's bundled OpenBLAS at one thread, then restore its count.
     The pipeline's matrices are small, so BLAS threads gain a cell nothing,
-    and between calls they spin on the cores the chunk threads need."""
+    and between calls they spin on the cores a cell's workers need."""
     get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
     count = get()
     set_(1)
@@ -235,6 +241,50 @@ def _one_blas_thread():
         yield
     finally:
         set_(count)
+
+
+def _shares(share: Callable[[int], list], width: int) -> list[list]:
+    """[share(0), ..., share(width - 1)].  The calling process runs
+    share(0); each other share runs in a worker forked for it, which
+    pickles its result into a pipe.  A share that a worker does not
+    deliver (it could not be forked, died or was killed) is run here, so
+    the result never depends on a worker's fate.  Every worker is reaped
+    before this returns or raises; on a raise, it is killed first."""
+    pids, pipes = {}, {}
+    try:
+        for w in range(1, width):
+            read, write = os.pipe()
+            pipes[w] = open(read, "rb")
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write)
+                break
+            if pid == 0:  # the worker: never return into the caller
+                code = 1
+                try:
+                    with open(write, "wb") as pipe:
+                        pickle.dump(share(w), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            pids[w] = pid
+        shares = [share(0)]
+        for w in range(1, width):
+            status = None
+            if w in pids:
+                data = pipes[w].read()
+                status = os.waitpid(pids[w], 0)[1]
+                del pids[w]
+            shares.append(pickle.loads(data) if status == 0 else share(w))
+        return shares
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes.values():
+            pipe.close()
 
 
 def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
@@ -248,38 +298,41 @@ def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
     width = min(_usable_cpus(), len(chunks))
     outcomes: list[tuple[bool, int]] = []
 
-    def batch(streams):
-        stats = cusum_stats(sim.generate(streams), cfg)
-        return list(zip((stats.statistic > crit).tolist(),
-                        stats.k_standardized.tolist()))
-
-    # Rounds of one chunk per CPU: the calling thread runs the first and
-    # the pool the others; the pool starts no thread for a round of one.
-    with _one_blas_thread(), ThreadPoolExecutor(max(width - 1, 1)) as pool:
-        for i, streams in enumerate(chunks):
-            if i % width == 0:
-                futures = [pool.submit(batch, later)
-                           for later in chunks[i + 1:i + width]]
-                result = functools.partial(batch, streams)
-            else:
-                result = futures[i % width - 1].result
+    def share(w):
+        """Outcomes of chunks w, w + width, ...: per chunk, a (reject,
+        k_hat) pair per replication, or None if the chunk raised."""
+        done = []
+        for streams in chunks[w::width]:
             try:
-                outcomes += result()
+                stats = cusum_stats(sim.generate(streams), cfg)
             except Exception:
-                # Run the chunk again one replication at a time, so that
-                # the first failing replication reports its own error.
-                for stream in streams:
-                    try:
-                        res = run_test(sim.generate(stream), cfg)
-                    except Exception as exc:
-                        return CellResult(
-                            coords=coords, replications=replications,
-                            completed=stream[2], reject_rate=math.nan,
-                            se=math.nan, khat_mean=math.nan,
-                            khat_median=math.nan, seconds=timer() - start,
-                            error=f"replication {stream[2]} (stream "
-                                  f"{stream}) failed: {exc}")
-                    outcomes.append((res.reject, res.k_hat_standardized))
+                done.append(None)
+            else:
+                done.append(list(zip((stats.statistic > crit).tolist(),
+                                     stats.k_standardized.tolist())))
+        return done
+
+    with _one_blas_thread():
+        shares = _shares(share, width)
+        for i, streams in enumerate(chunks):
+            chunk = shares[i % width][i // width]
+            if chunk is not None:
+                outcomes += chunk
+                continue
+            # Run the chunk again one replication at a time, so that the
+            # first failing replication reports its own error.
+            for stream in streams:
+                try:
+                    res = run_test(sim.generate(stream), cfg)
+                except Exception as exc:
+                    return CellResult(
+                        coords=coords, replications=replications,
+                        completed=stream[2], reject_rate=math.nan,
+                        se=math.nan, khat_mean=math.nan,
+                        khat_median=math.nan, seconds=timer() - start,
+                        error=f"replication {stream[2]} (stream "
+                              f"{stream}) failed: {exc}")
+                outcomes.append((res.reject, res.k_hat_standardized))
     p_hat = sum(reject for reject, _ in outcomes) / replications
     khats = [k_hat / coords.n for _, k_hat in outcomes]
     return CellResult(

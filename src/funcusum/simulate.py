@@ -264,7 +264,7 @@ class Far1Simulator:
         A list of seeds draws a batch, one sample per seed from that seed's
         own stream, stacked on a leading axis; sample b equals
         generate(seed[b]) bitwise.  It runs on the calling thread; the
-        Monte Carlo harness runs several batches at once, one per thread.
+        Monte Carlo harness runs several batches at once, one per process.
         """
         spec = self.spec
         batch = isinstance(seed, list)

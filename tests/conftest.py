@@ -4,11 +4,14 @@ The acceptance tests register one summary line each; the terminal-summary
 hook prints them after the run so the gate status is visible even for
 passing tests (whose stdout pytest would otherwise swallow).  The bridge
 supremum Monte Carlo is session-scoped because two test modules compare
-against the same reference distribution.  `dense_gram` is the L2 oracle
+against the same reference distribution; it draws on the calling thread
+while one worker thread reduces the previous draw, and joins the worker
+before it returns, so no thread is alive when a later test forks.  `dense_gram` is the L2 oracle
 the tests use for inner products and norms in a basis.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -52,10 +55,8 @@ def bridge_sup_samples():
     weight = 1.0 / np.sqrt(inner[lo:hi] * (1.0 - inner[lo:hi]))
     sqrt_dt = np.sqrt(np.diff(t))
     sups = {(d, n): [] for d in (1, 2, 3) for n in (100, 500)}
-    rng = np.random.default_rng(20260814)
-    chunk = 1000
-    for _ in range(BRIDGE_PATHS // chunk):
-        wiener = rng.normal(size=(3, chunk, sqrt_dt.size))
+
+    def reduce(wiener):
         wiener *= sqrt_dt
         np.cumsum(wiener, axis=2, out=wiener)
         # Bridge values on the window: inner point j is wiener[..., j].
@@ -66,6 +67,18 @@ def bridge_sup_samples():
             vals = np.sqrt(sq[d - 1]) * weight
             for n in (100, 500):
                 sups[(d, n)].append(vals[:, sub[n]].max(axis=1))
+
+    # The draws come from one stream in order; the next chunk is drawn
+    # while the previous one is reduced, and two chunks at most are alive.
+    rng = np.random.default_rng(20260814)
+    chunk = 1000
+    with ThreadPoolExecutor(1) as pool:
+        reduced = pool.submit(lambda: None)
+        for _ in range(BRIDGE_PATHS // chunk):
+            wiener = rng.normal(size=(3, chunk, sqrt_dt.size))
+            reduced.result()
+            reduced = pool.submit(reduce, wiener)
+        reduced.result()
     return {key: np.concatenate(parts) for key, parts in sups.items()}
 
 

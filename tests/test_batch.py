@@ -2,8 +2,9 @@
 running it alone.
 
 `run_cell` pushes chunks of replications through the pipeline's array
-kernels, one chunk per thread at a time; `run_test` runs the same kernels
-on a batch of one, on the calling thread.  Each stacked
+kernels, spread over the calling process and forked worker processes;
+`run_test` runs the same kernels on a batch of one, in the calling
+process.  Each stacked
 array form the kernels use is pinned here against the per-sample form it
 replaces, bitwise: on BLAS a different layout or call shape can round
 differently, and one ulp can flip a decision on the rejection boundary.
@@ -11,9 +12,11 @@ differently, and one ulp can flip a decision on the rejection boundary.
 
 import math
 import multiprocessing
+import os
+import signal
 import statistics
-import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -115,20 +118,15 @@ def small_cell(reps, index=2):
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
-def test_threaded_batch_equals_per_seed_samples(cpus, count):
-    # A cell's chunks run on `count` threads, a round of one chunk each at
-    # a time; its numbers equal those of its replications run one by one.
+def test_worker_processes_batch_equals_per_seed_samples(cpus, count):
+    # A cell's chunks are dealt round robin to the calling process and up
+    # to `count - 1` forked workers; its numbers equal those of its
+    # replications run one by one.
     cpus(count)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # more thread switches inside each chunk
-    try:
-        for reps in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
-                     2 * _CHUNK + 3):
-            coords, grid = small_cell(reps)
-            assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords,
-                                                                     grid)
-    finally:
-        sys.setswitchinterval(interval)
+    for reps in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
+                 2 * _CHUNK + 3, 5 * _CHUNK + 3):
+        coords, grid = small_cell(reps)
+        assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
 
 
 def poison(monkeypatch, bad_reps):
@@ -146,10 +144,10 @@ def poison(monkeypatch, bad_reps):
 
 
 @pytest.mark.parametrize("where", [0, 7, len(SEEDS) - 1])
-def test_bad_seed_in_a_threaded_batch_raises_its_own_error(cpus, monkeypatch,
-                                                           where):
-    # Three CPUs and 2 * 16 + 3 replications: the calling thread runs
-    # replications 0..15 and two workers 16..31 and 32..34, in one round.
+def test_bad_seed_in_a_worker_process_batch_raises_its_own_error(
+        cpus, monkeypatch, where):
+    # Three CPUs and 2 * 16 + 3 replications: the calling process runs
+    # replications 0..15 and two workers 16..31 and 32..34.
     cpus(3)
     coords, grid = small_cell(2 * _CHUNK + 3)
     later = 2 * _CHUNK + 1  # a later chunk on a worker fails as well
@@ -160,6 +158,102 @@ def test_bad_seed_in_a_threaded_batch_raises_its_own_error(cpus, monkeypatch,
     assert res.error == (f"replication {where} (stream {stream}) failed: "
                          f"bad stream {stream}")
     assert math.isnan(res.reject_rate) and math.isnan(res.khat_median)
+
+
+def assert_no_child():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Stop(BaseException):
+    pass
+
+
+def in_workers(monkeypatch, action, in_parent=None):
+    """Make generate call `action(seed)` in every process but the calling
+    one (and `in_parent(seed)` in the calling one) before it draws."""
+    generate = Far1Simulator.generate
+    parent = os.getpid()
+
+    def hooked(self, seed=None):
+        if os.getpid() != parent:
+            action(seed)
+        elif in_parent is not None:
+            in_parent(seed)
+        return generate(self, seed)
+
+    monkeypatch.setattr(Far1Simulator, "generate", hooked)
+
+
+def test_no_worker_outlives_a_clean_or_failed_cell(cpus, monkeypatch):
+    # Three CPUs and 5 * 16 + 3 replications: two workers, two chunks
+    # each, and the calling process's two.
+    cpus(3)
+    assert_no_child()
+    threads = threading.active_count()
+    coords, grid = small_cell(5 * _CHUNK + 3)
+    assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
+    assert_no_child()
+    bad = 4 * _CHUNK + 5  # in worker 1's second chunk
+    poison(monkeypatch, {bad})
+    res = run_cell(coords, grid, timer=lambda: 0.0)
+    stream = (grid.seed, coords.index, bad)
+    assert res.completed == bad
+    assert res.error == (f"replication {bad} (stream {stream}) failed: "
+                         f"bad stream {stream}")
+    assert_no_child()
+    assert threading.active_count() == threads
+
+
+def test_workers_killed_and_reaped_when_the_caller_raises(cpus, monkeypatch):
+    # The workers would sleep for a minute; a BaseException in the calling
+    # process's share kills them instead of waiting.
+    cpus(3)
+
+    def stop(seed):
+        raise Stop
+
+    in_workers(monkeypatch, lambda seed: time.sleep(60), in_parent=stop)
+    start = time.monotonic()
+    with pytest.raises(Stop):
+        run_cell(*small_cell(5 * _CHUNK + 3))
+    assert time.monotonic() - start < 30
+    assert_no_child()
+
+
+def test_share_of_a_killed_worker_is_redone_by_the_caller(cpus, monkeypatch):
+    # Each worker is killed as it starts its second chunk, mid-share.
+    cpus(3)
+    coords, grid = small_cell(5 * _CHUNK + 3)
+    expected = fold(coords, grid)
+
+    def kill_on_second_chunk(seed):
+        if seed[0][2] >= 3 * _CHUNK:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    in_workers(monkeypatch, kill_on_second_chunk)
+    assert run_cell(coords, grid, timer=lambda: 0.0) == expected
+    assert_no_child()
+
+
+def test_share_of_a_worker_that_cannot_be_forked_is_run_by_the_caller(
+        cpus, monkeypatch):
+    cpus(3)
+    coords, grid = small_cell(5 * _CHUNK + 3)
+    forks = []
+    fork = os.fork
+
+    def second_fork_fails():
+        forks.append(os.getpid())
+        if len(forks) == 2:
+            raise BlockingIOError("no process left")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
+    assert len(forks) == 2
+    assert_no_child()
 
 
 def blas_calls(monkeypatch):
@@ -176,12 +270,28 @@ def blas_calls(monkeypatch):
     return sets
 
 
-def test_single_seed_starts_no_thread(cpus, monkeypatch, tmp_path):
-    # The one-shot paths start no thread and leave BLAS as they find it,
-    # however many CPUs there are.  A cell of one chunk starts no thread
-    # either, but holds BLAS at one thread while it runs.
+def count_forks(monkeypatch):
+    """Log every os.fork call, then fork."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def test_single_seed_starts_no_thread_or_process(cpus, monkeypatch,
+                                                 tmp_path):
+    # The one-shot paths start no thread, fork nothing and leave BLAS as
+    # they find it, however many CPUs there are.  A cell of one chunk
+    # starts no thread and forks nothing either, but holds BLAS at one
+    # thread while it runs; a cell of two chunks forks one worker.
     cpus(2)
     sets = blas_calls(monkeypatch)
+    forks = count_forks(monkeypatch)
     sim = simulator()
     threads = threading.active_count()
     sim.generate()
@@ -193,9 +303,12 @@ def test_single_seed_starts_no_thread(cpus, monkeypatch, tmp_path):
     curves = tmp_path / "curves.csv"
     assert cli.main(["simulate", str(config), "--out", str(curves)]) == 0
     assert cli.main(["test", str(curves), "--d", "2"]) == 0
-    assert sets == []
+    assert sets == [] and forks == []
     run_cell(*small_cell(_CHUNK))
-    assert sets == [1, 4]
+    assert sets == [1, 4] and forks == []
+    assert threading.active_count() == threads
+    run_cell(*small_cell(_CHUNK + 1))
+    assert sets == [1, 4, 1, 4] and forks == [os.getpid()]
     assert threading.active_count() == threads
 
 
@@ -215,9 +328,6 @@ def test_blas_count_restored_after_a_cell(cpus, monkeypatch):
     poison(monkeypatch, {_CHUNK + 2})
     assert run_cell(*small_cell(2 * _CHUNK + 3)).error is not None
     assert sets == [1, 4, 1, 4]
-
-    class Stop(BaseException):
-        pass
 
     def stopping(self, seed=None):
         raise Stop
@@ -253,8 +363,8 @@ def test_bundled_openblas_held_at_one_thread_during_a_cell(cpus, monkeypatch):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 def test_forked_child_draws_the_same_batch(cpus):
-    # The parent's chunk threads end with its cell, so a child forked
-    # afterwards runs the same cell on threads of its own.
+    # The parent's workers end with its cell, so a child forked afterwards
+    # runs the same cell, forking workers of its own.
     cpus(2)
     coords, grid = small_cell(2 * _CHUNK + 3)
     parent = run_cell(coords, grid, timer=lambda: 0.0)
