@@ -10,10 +10,11 @@ with n <= 2 has none, and stops the grid there.  A cell runs its
 replications in chunks of _CHUNK through the pipeline's batched kernels,
 with numpy's bundled OpenBLAS held at one thread, and deals the chunks
 round robin to the calling process and one forked worker process per
-further usable CPU, up to one per chunk.  Each worker pipes its outcomes
-back and exits; a share that a worker does not deliver is run by the
-calling process, and no worker outlives the cell.  Every number equals
-that of running the replications one at a time in the calling process.
+further usable CPU, up to one per chunk, through `_workers.shares`.  Each
+worker pipes its outcomes back and exits; a share that a worker does not
+deliver is run by the calling process, and no worker outlives the cell.
+Every number equals that of running the replications one at a time in
+the calling process.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import glob
 import itertools
 import math
 import os
-import pickle
-import signal
 import statistics
 import time
 from dataclasses import asdict, dataclass, fields
@@ -35,7 +34,7 @@ from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _workers
 from .cusum import TestConfig, critical_value, cusum_stats, run_test
 from .simulate import (ChangeSpec, Far1Simulator, SimSpec, calibrate_kernel,
                        make_change, parse_key_values)
@@ -205,14 +204,6 @@ def _cell_setup(coords: CellCoords, settings: ExperimentGrid,
     return spec, cfg, critical_value(cfg, coords.n)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where affinity is unknown (macOS,
-    Windows), so that a cell forks no worker there."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
 @functools.cache
 def _openblas_threads() -> tuple[Callable, Callable] | None:
     """The get and set thread-count functions of numpy's bundled OpenBLAS,
@@ -243,50 +234,6 @@ def _one_blas_thread():
         set_(count)
 
 
-def _shares(share: Callable[[int], list], width: int) -> list[list]:
-    """[share(0), ..., share(width - 1)].  The calling process runs
-    share(0); each other share runs in a worker forked for it, which
-    pickles its result into a pipe.  A share that a worker does not
-    deliver (it could not be forked, died or was killed) is run here, so
-    the result never depends on a worker's fate.  Every worker is reaped
-    before this returns or raises; on a raise, it is killed first."""
-    pids, pipes = {}, {}
-    try:
-        for w in range(1, width):
-            read, write = os.pipe()
-            pipes[w] = open(read, "rb")
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(write)
-                break
-            if pid == 0:  # the worker: never return into the caller
-                code = 1
-                try:
-                    with open(write, "wb") as pipe:
-                        pickle.dump(share(w), pipe)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            pids[w] = pid
-        shares = [share(0)]
-        for w in range(1, width):
-            status = None
-            if w in pids:
-                data = pipes[w].read()
-                status = os.waitpid(pids[w], 0)[1]
-                del pids[w]
-            shares.append(pickle.loads(data) if status == 0 else share(w))
-        return shares
-    finally:
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes.values():
-            pipe.close()
-
-
 def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
                crit: float, settings: ExperimentGrid,
                timer: Callable[[], float]) -> CellResult:
@@ -295,7 +242,7 @@ def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
     chunks = [[(settings.seed, coords.index, rep)
                for rep in range(first, min(first + _CHUNK, replications))]
               for first in range(0, replications, _CHUNK)]
-    width = min(_usable_cpus(), len(chunks))
+    width = min(_workers.usable_cpus(), len(chunks))
     outcomes: list[tuple[bool, int]] = []
 
     def share(w):
@@ -313,7 +260,7 @@ def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
         return done
 
     with _one_blas_thread():
-        shares = _shares(share, width)
+        shares = _workers.shares(share, width)
         for i, streams in enumerate(chunks):
             chunk = shares[i % width][i // width]
             if chunk is not None:

@@ -7,14 +7,19 @@ supremum Monte Carlo is session-scoped because two test modules compare
 against the same reference distribution; it draws on the calling thread
 while one worker thread reduces the previous draw, and joins the worker
 before it returns, so no thread is alive when a later test forks.  `dense_gram` is the L2 oracle
-the tests use for inner products and norms in a basis.
+the tests use for inner products and norms in a basis.  The `cpus`
+fixture sets how many CPUs the package's forked workers are spread over,
+and `assert_no_child` checks that none of them is left behind.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+
+from funcusum import _workers
 
 _acceptance_lines: list[str] = []
 
@@ -30,6 +35,24 @@ def dense_gram(basis, num_points=2001):
     w = np.full(num_points, 1.0 / (num_points - 1))
     w[0] = w[-1] = 0.5 / (num_points - 1)
     return design.T @ (w[:, None] * design)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count that run_cell spreads a cell's chunks over,
+    and write_curves_csv a file's blocks."""
+    return lambda count: monkeypatch.setattr(_workers, "usable_cpus",
+                                             lambda: count)
+
+
+def assert_no_child():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Stop(BaseException):
+    pass
 
 
 @pytest.fixture(scope="session")

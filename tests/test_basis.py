@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from funcusum.basis import (
     write_curves_csv,
 )
 
-from conftest import dense_gram
+from conftest import Stop, assert_no_child, dense_gram
 
 
 def csv_module_writer(path, values, grid):
@@ -486,3 +489,125 @@ class TestCurveCSV:
         csv_module_writer(tmp_path / "old.csv", values, grid)
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_writer_bytes_match_csv_module_in_blocks(self, tmp_path, cpus,
+                                                     monkeypatch, count):
+        # One value per block, so a file of n rows is formatted by
+        # min(n, count) processes: n = 0..40 includes fewer rows than CPUs
+        # and row counts that the number of blocks does not divide.
+        cpus(count)
+        monkeypatch.setattr(basis_module, "_CSV_BLOCK", 1)
+        grid = Grid(np.array([0.0, 1e-05, 0.5, 1.0]))
+        rng = np.random.default_rng(count)
+        for n in range(41):
+            values = rng.normal(size=(n, 4))
+            if n:
+                values[n // 2] = [-0.0, 5e-324, 1e-05, 1e16]
+            write_curves_csv(tmp_path / "new.csv", values, grid)
+            csv_module_writer(tmp_path / "old.csv", values, grid)
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "old.csv").read_bytes())
+            if n:
+                back = read_curves_csv(tmp_path / "new.csv").values
+                assert back.tobytes() == values.tobytes()
+        assert_no_child()
+
+
+def split_csv(cpus, monkeypatch, rows=30):
+    """Three blocks of ten rows at three CPUs: the caller formats rows
+    0..9 and two forked workers rows 10..19 and 20..29."""
+    cpus(3)
+    monkeypatch.setattr(basis_module, "_CSV_BLOCK", 1)
+    grid = Grid(np.array([0.0, 0.25, 0.5, 1.0]))
+    return np.random.default_rng(rows).normal(size=(rows, 4)), grid
+
+
+def hook_repr(monkeypatch, in_workers, in_caller=None):
+    """Make write_curves_csv call `in_workers(x)` in every process but the
+    calling one (and `in_caller(x)` in the calling one) before it formats
+    the value x."""
+    caller = os.getpid()
+
+    def hooked(x):
+        if os.getpid() != caller:
+            in_workers(x)
+        elif in_caller is not None:
+            in_caller(x)
+        return repr(x)
+
+    monkeypatch.setattr(basis_module, "repr", hooked, raising=False)
+
+
+def assert_written_as_one_process(tmp_path, values, grid):
+    write_curves_csv(tmp_path / "new.csv", values, grid)
+    csv_module_writer(tmp_path / "old.csv", values, grid)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "old.csv").read_bytes())
+    assert_no_child()
+
+
+class TestCurveCSVWorkers:
+    def test_block_of_a_killed_worker_is_formatted_by_the_caller(
+            self, tmp_path, cpus, monkeypatch):
+        values, grid = split_csv(cpus, monkeypatch)
+        seen = []  # each worker counts in its own copy
+
+        def kill_mid_block(x):
+            seen.append(x)
+            if len(seen) == 20:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        hook_repr(monkeypatch, kill_mid_block)
+        assert_written_as_one_process(tmp_path, values, grid)
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_block_of_a_worker_that_cannot_be_forked_is_formatted_by_the_caller(
+            self, tmp_path, cpus, monkeypatch, failing):
+        values, grid = split_csv(cpus, monkeypatch)
+        forks = []
+        fork = os.fork
+
+        def fork_fails():
+            forks.append(os.getpid())
+            if len(forks) == failing:
+                raise BlockingIOError("no process left")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+        assert_written_as_one_process(tmp_path, values, grid)
+        assert len(forks) == failing
+
+    def test_workers_killed_and_file_untouched_when_the_caller_raises(
+            self, tmp_path, cpus, monkeypatch):
+        # The workers would sleep for a minute; a BaseException in the
+        # caller's block kills them instead of waiting, before the file
+        # is opened.
+        values, grid = split_csv(cpus, monkeypatch)
+        path = tmp_path / "curves.csv"
+        path.write_bytes(b"earlier contents\n")
+        slept = []  # each worker sleeps once, in its own copy
+
+        def sleep_once(x):
+            if not slept:
+                slept.append(x)
+                time.sleep(60)
+
+        def stop(x):
+            raise Stop
+
+        hook_repr(monkeypatch, sleep_once, in_caller=stop)
+        start = time.monotonic()
+        with pytest.raises(Stop):
+            write_curves_csv(path, values, grid)
+        assert time.monotonic() - start < 30
+        assert path.read_bytes() == b"earlier contents\n"
+        assert_no_child()
+
+    def test_workers_flush_none_of_the_callers_files(self, tmp_path, cpus,
+                                                     monkeypatch):
+        values, grid = split_csv(cpus, monkeypatch)
+        with open(tmp_path / "log.txt", "w") as log:
+            log.write("written once\n")  # still in the caller's buffer
+            assert_written_as_one_process(tmp_path, values, grid)
+        assert (tmp_path / "log.txt").read_text() == "written once\n"

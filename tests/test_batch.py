@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcusum import cli, harness
+from funcusum import basis, cli, harness
 from funcusum.basis import FunctionalSample, change_basis, fourier_basis
 from funcusum.cusum import TestConfig as Config
 from funcusum.cusum import (_partial_sums, _standardized_sumsq, run_test,
@@ -32,6 +32,8 @@ from funcusum.harness import (_CHUNK, CellCoords, CellResult, ExperimentGrid,
                               _cell_setup, run_cell)
 from funcusum.lrcov import _abs_sorted_eigh, lag_cov, lrcov_estimate
 from funcusum.simulate import Far1Simulator, SimSpec, _bridges, calibrate_kernel
+
+from conftest import Stop, assert_no_child
 
 SEEDS = [(5, 3, rep) for rep in range(_CHUNK + 1)]
 
@@ -104,13 +106,6 @@ def test_batch_equals_per_seed_samples():
         assert np.array_equal(batch.coeffs[b], sim.generate(seed).coeffs)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the usable CPU count that run_cell spreads a cell's chunks over."""
-    return lambda count: monkeypatch.setattr(harness, "_usable_cpus",
-                                             lambda: count)
-
-
 def small_cell(reps, index=2):
     return (CellCoords(index, 12, "wiener", 0.6, 2.0, 2, False),
             ExperimentGrid(replications=reps, seed=9, burn_in=15,
@@ -158,16 +153,6 @@ def test_bad_seed_in_a_worker_process_batch_raises_its_own_error(
     assert res.error == (f"replication {where} (stream {stream}) failed: "
                          f"bad stream {stream}")
     assert math.isnan(res.reject_rate) and math.isnan(res.khat_median)
-
-
-def assert_no_child():
-    """This process has no child process, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class Stop(BaseException):
-    pass
 
 
 def in_workers(monkeypatch, action, in_parent=None):
@@ -285,10 +270,12 @@ def count_forks(monkeypatch):
 
 def test_single_seed_starts_no_thread_or_process(cpus, monkeypatch,
                                                  tmp_path):
-    # The one-shot paths start no thread, fork nothing and leave BLAS as
-    # they find it, however many CPUs there are.  A cell of one chunk
-    # starts no thread and forks nothing either, but holds BLAS at one
-    # thread while it runs; a cell of two chunks forks one worker.
+    # The one-shot paths start no thread and leave BLAS as they find it,
+    # however many CPUs there are.  They fork nothing, except where
+    # `funcusum simulate` writes a CSV of at least two blocks of rows: at
+    # two CPUs it forks one worker to format the second block.  A cell of
+    # one chunk starts no thread and forks nothing either, but holds BLAS
+    # at one thread while it runs; a cell of two chunks forks one worker.
     cpus(2)
     sets = blas_calls(monkeypatch)
     forks = count_forks(monkeypatch)
@@ -304,6 +291,16 @@ def test_single_seed_starts_no_thread_or_process(cpus, monkeypatch,
     assert cli.main(["simulate", str(config), "--out", str(curves)]) == 0
     assert cli.main(["test", str(curves), "--d", "2"]) == 0
     assert sets == [] and forks == []
+    # Two blocks' worth of curves at the default 96 points per curve.
+    n = -(-2 * basis._CSV_BLOCK // 96)
+    config.write_text(f"n = {n}\nkernel = wiener\npsi = 0.4\n")
+    assert cli.main(["simulate", str(config), "--out", str(curves)]) == 0
+    assert sets == [] and forks == [os.getpid()]
+    assert threading.active_count() == threads
+    assert_no_child()
+    assert cli.main(["test", str(curves), "--d", "2"]) == 0
+    assert sets == [] and forks == [os.getpid()]
+    forks.clear()
     run_cell(*small_cell(_CHUNK))
     assert sets == [1, 4] and forks == []
     assert threading.active_count() == threads
