@@ -24,16 +24,20 @@ from . import _workers
 _MEMO_SIZE = 64
 
 # Values per block of a written curve CSV: a file of k blocks is
-# formatted by min(k, usable CPUs) processes.  A fork costs the caller
-# 1.2-1.6 ms in os.fork, the worker starts 2.6-3.0 ms after the call, and
-# copy-on-write faults slow what the caller runs next by 1.6-3.0 ms,
-# while formatting costs 1-1.5 us a value.  On a 2-core x86-64 VM,
-# `funcusum simulate` then `funcusum test` at 96 points per curve broke
-# even split in two between 160 and 224 curves (median gain over 41
-# alternating pairs -2.4 to +3.5 ms, three to six passes each) and
-# gained at 256 (+1.1 to +6.6 ms, three passes); at 30 points the split
-# lost 6.1 ms at 300 curves and gained 8.0 ms at 1000.  So a file splits
-# from the top of that band, 2 * 112 curves of 96 points.
+# formatted by min(k, usable CPUs) processes.  The break-even below was
+# measured when every write forked its workers afresh: a fork cost the
+# caller 1.2-1.6 ms in os.fork, the worker started 2.6-3.0 ms after the
+# call, and copy-on-write faults slowed what the caller ran next by
+# 1.6-3.0 ms, while formatting costs 1-1.5 us a value.  On a 2-core
+# x86-64 VM, `funcusum simulate` then `funcusum test` at 96 points per
+# curve broke even split in two between 160 and 224 curves (median gain
+# over 41 alternating pairs -2.4 to +3.5 ms, three to six passes each)
+# and gained at 256 (+1.1 to +6.6 ms, three passes); at 30 points the
+# split lost 6.1 ms at 300 curves and gained 8.0 ms at 1000.  So a file
+# splits from the top of that band, 2 * 112 curves of 96 points.  The
+# workers are now kept for the life of the process, so only the first
+# split write pays the fork; the value stays, since a one-shot `funcusum
+# simulate` still pays it once.
 _CSV_BLOCK = 112 * 96
 
 
@@ -402,11 +406,11 @@ def write_curves_csv(path: str, values: np.ndarray, grid: Grid) -> None:
     holds a comma, quote or newline, so no cell needs quoting.  The rows
     are cut into min(usable CPUs, rows, values // _CSV_BLOCK) contiguous
     blocks, at least one, and each process formats one block's text into
-    one string: the caller the first, a forked worker each other one (see
-    `_workers.shares`).  The file is opened only once every block's text
-    is in hand, so no worker holds it open, and an error while formatting
-    leaves an existing file as it was.  The bytes do not depend on the
-    number of blocks.
+    one string: the caller the first, a pooled worker process each other
+    one, which gets its rows pickled (see `_workers.shares`).  The file is
+    opened only once every block's text is in hand, so no worker holds it
+    open, and an error while formatting leaves an existing file as it
+    was.  The bytes do not depend on the number of blocks.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != len(grid):
@@ -414,13 +418,15 @@ def write_curves_csv(path: str, values: np.ndarray, grid: Grid) -> None:
     rows = values.shape[0]
     width = max(1, min(_workers.usable_cpus(), rows,
                        values.size // _CSV_BLOCK))
-
-    def block(w):
-        lo, hi = w * rows // width, (w + 1) * rows // width
-        return "".join([",".join(map(repr, row.tolist())) + "\n"
-                        for row in values[lo:hi]])
-
-    blocks = _workers.shares(block, width)
+    blocks = _workers.shares(_format_rows, [
+        (values[w * rows // width:(w + 1) * rows // width],)
+        for w in range(width)])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(f"t={p!r}" for p in grid.points.tolist()) + "\n")
         fh.writelines(blocks)
+
+
+def _format_rows(values: np.ndarray) -> str:
+    """The CSV text of a block of curve rows."""
+    return "".join([",".join(map(repr, row.tolist())) + "\n"
+                    for row in values])

@@ -9,30 +9,26 @@ do not depend on scheduling.  A cell's critical value depends on its
 with n <= 2 has none, and stops the grid there.  A cell runs its
 replications in chunks of _CHUNK through the pipeline's batched kernels,
 with numpy's bundled OpenBLAS held at one thread, and deals the chunks
-round robin to the calling process and one forked worker process per
-further usable CPU, up to one per chunk, through `_workers.shares`.  Each
-worker pipes its outcomes back and exits; a share that a worker does not
-deliver is run by the calling process, and no worker outlives the cell.
-Every number equals that of running the replications one at a time in
-the calling process.
+round robin to the calling process and one worker process per further
+usable CPU, up to one per chunk, through `_workers.shares`.  The workers
+are forked by the first cell (or curve CSV) that needs them and kept for
+the life of the process, so later cells fork nothing; each gets its
+share's chunks and the cell's simulator pickled and pipes its outcomes
+back.  A share that a worker does not deliver is run by the calling
+process.  Every number equals that of running the replications one at a
+time in the calling process.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import ctypes
-import functools
-import glob
 import itertools
 import math
-import os
 import statistics
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, get_args, get_origin, get_type_hints
-
-import numpy as np
 
 from . import __version__, _workers
 from .cusum import TestConfig, critical_value, cusum_stats, run_test
@@ -204,34 +200,35 @@ def _cell_setup(coords: CellCoords, settings: ExperimentGrid,
     return spec, cfg, critical_value(cfg, coords.n)
 
 
-@functools.cache
-def _openblas_threads() -> tuple[Callable, Callable] | None:
-    """The get and set thread-count functions of numpy's bundled OpenBLAS,
-    or None where they are not found (numpy built against another BLAS)."""
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    for path in glob.glob(f"{site}/numpy.libs/libscipy_openblas*.so"):
-        with contextlib.suppress(OSError, AttributeError):
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold numpy's bundled OpenBLAS at one thread, then restore its count.
     The pipeline's matrices are small, so BLAS threads gain a cell nothing,
     and between calls they spin on the cores a cell's workers need."""
-    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
+    get, set_ = _workers.openblas_threads() or (lambda: None,
+                                                lambda count: None)
     count = get()
     set_(1)
     try:
         yield
     finally:
         set_(count)
+
+
+def _run_chunks(sim: Far1Simulator, cfg: TestConfig, crit: float,
+                chunks: list[list[tuple[int, int, int]]]) -> list:
+    """Per chunk of streams, a (reject, k_hat) pair per replication, or
+    None if the chunk raised."""
+    done = []
+    for streams in chunks:
+        try:
+            stats = cusum_stats(sim.generate(streams), cfg)
+        except Exception:
+            done.append(None)
+        else:
+            done.append(list(zip((stats.statistic > crit).tolist(),
+                                 stats.k_standardized.tolist())))
+    return done
 
 
 def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
@@ -244,23 +241,9 @@ def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
               for first in range(0, replications, _CHUNK)]
     width = min(_workers.usable_cpus(), len(chunks))
     outcomes: list[tuple[bool, int]] = []
-
-    def share(w):
-        """Outcomes of chunks w, w + width, ...: per chunk, a (reject,
-        k_hat) pair per replication, or None if the chunk raised."""
-        done = []
-        for streams in chunks[w::width]:
-            try:
-                stats = cusum_stats(sim.generate(streams), cfg)
-            except Exception:
-                done.append(None)
-            else:
-                done.append(list(zip((stats.statistic > crit).tolist(),
-                                     stats.k_standardized.tolist())))
-        return done
-
     with _one_blas_thread():
-        shares = _workers.shares(share, width)
+        shares = _workers.shares(_run_chunks, [
+            (sim, cfg, crit, chunks[w::width]) for w in range(width)])
         for i, streams in enumerate(chunks):
             chunk = shares[i % width][i // width]
             if chunk is not None:

@@ -7,9 +7,13 @@ supremum Monte Carlo is session-scoped because two test modules compare
 against the same reference distribution; it draws on the calling thread
 while one worker thread reduces the previous draw, and joins the worker
 before it returns, so no thread is alive when a later test forks.  `dense_gram` is the L2 oracle
-the tests use for inner products and norms in a basis.  The `cpus`
-fixture sets how many CPUs the package's forked workers are spread over,
-and `assert_no_child` checks that none of them is left behind.
+the tests use for inner products and norms in a basis.  The package's
+worker processes live as long as the process, so a worker forked before
+a test would not see what the test patches: the `fresh_pool` fixture
+closes the pool before and after such a test.  The `cpus` fixture, which
+uses it, sets how many CPUs the workers are spread over;
+`assert_no_child` checks that no child process is left, which holds once
+the pool is closed, and `count_forks` logs each fork.
 """
 
 import math
@@ -38,17 +42,52 @@ def dense_gram(basis, num_points=2001):
 
 
 @pytest.fixture
-def cpus(monkeypatch):
+def fresh_pool():
+    """Start and end the test with no pooled worker, so that the workers
+    it forks run the code as it patches it, and none outlives it."""
+    _workers.close()
+    yield
+    _workers.close()
+
+
+@pytest.fixture
+def cpus(monkeypatch, fresh_pool):
     """Set the usable CPU count that run_cell spreads a cell's chunks over,
-    and write_curves_csv a file's blocks."""
+    and write_curves_csv a file's blocks; the pool starts empty."""
     return lambda count: monkeypatch.setattr(_workers, "usable_cpus",
                                              lambda: count)
+
+
+def pool_pids():
+    """Pids of the pooled workers, in pool order."""
+    return [worker.pid for worker in _workers._pool]
 
 
 def assert_no_child():
     """This process has no child process, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def assert_gone(pids):
+    """No process has any of these pids: each was reaped, not only
+    killed."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def count_forks(monkeypatch):
+    """Log the pid of the process making each os.fork call, then fork."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
 
 
 class Stop(BaseException):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from funcusum import _workers
 from funcusum import basis as basis_module
 from funcusum.basis import (
     CurveCSVError,
@@ -30,7 +31,8 @@ from funcusum.basis import (
     write_curves_csv,
 )
 
-from conftest import Stop, assert_no_child, dense_gram
+from conftest import (Stop, assert_gone, assert_no_child, count_forks,
+                      dense_gram, pool_pids)
 
 
 def csv_module_writer(path, values, grid):
@@ -495,8 +497,11 @@ class TestCurveCSV:
                                                      monkeypatch, count):
         # One value per block, so a file of n rows is formatted by
         # min(n, count) processes: n = 0..40 includes fewer rows than CPUs
-        # and row counts that the number of blocks does not divide.
+        # and row counts that the number of blocks does not divide.  The
+        # workers are forked by the first writes that need them, and every
+        # later write reuses them.
         cpus(count)
+        forks = count_forks(monkeypatch)
         monkeypatch.setattr(basis_module, "_CSV_BLOCK", 1)
         grid = Grid(np.array([0.0, 1e-05, 0.5, 1.0]))
         rng = np.random.default_rng(count)
@@ -511,6 +516,9 @@ class TestCurveCSV:
             if n:
                 back = read_curves_csv(tmp_path / "new.csv").values
                 assert back.tobytes() == values.tobytes()
+        assert forks == [os.getpid()] * (count - 1)
+        assert len(pool_pids()) == count - 1
+        _workers.close()
         assert_no_child()
 
 
@@ -539,12 +547,21 @@ def hook_repr(monkeypatch, in_workers, in_caller=None):
     monkeypatch.setattr(basis_module, "repr", hooked, raising=False)
 
 
-def assert_written_as_one_process(tmp_path, values, grid):
+def assert_written_as_one_process(tmp_path, values, grid, workers_left):
+    """The file's bytes are those of one process writing it, the pool then
+    holds `workers_left` workers, and once it is closed no child is left."""
     write_curves_csv(tmp_path / "new.csv", values, grid)
     csv_module_writer(tmp_path / "old.csv", values, grid)
     assert ((tmp_path / "new.csv").read_bytes()
             == (tmp_path / "old.csv").read_bytes())
+    assert len(pool_pids()) == workers_left
+    _workers.close()
     assert_no_child()
+
+
+def worker_blas_threads():
+    """The OpenBLAS thread count of the process that runs this."""
+    return _workers.openblas_threads()[0]()
 
 
 class TestCurveCSVWorkers:
@@ -559,7 +576,7 @@ class TestCurveCSVWorkers:
                 os.kill(os.getpid(), signal.SIGKILL)
 
         hook_repr(monkeypatch, kill_mid_block)
-        assert_written_as_one_process(tmp_path, values, grid)
+        assert_written_as_one_process(tmp_path, values, grid, workers_left=0)
 
     @pytest.mark.parametrize("failing", [1, 2])
     def test_block_of_a_worker_that_cannot_be_forked_is_formatted_by_the_caller(
@@ -575,18 +592,20 @@ class TestCurveCSVWorkers:
             return fork()
 
         monkeypatch.setattr(os, "fork", fork_fails)
-        assert_written_as_one_process(tmp_path, values, grid)
+        assert_written_as_one_process(tmp_path, values, grid,
+                                      workers_left=failing - 1)
         assert len(forks) == failing
 
     def test_workers_killed_and_file_untouched_when_the_caller_raises(
             self, tmp_path, cpus, monkeypatch):
         # The workers would sleep for a minute; a BaseException in the
         # caller's block kills them instead of waiting, before the file
-        # is opened.
+        # is opened, and drops them from the pool.
         values, grid = split_csv(cpus, monkeypatch)
         path = tmp_path / "curves.csv"
         path.write_bytes(b"earlier contents\n")
         slept = []  # each worker sleeps once, in its own copy
+        busy = []
 
         def sleep_once(x):
             if not slept:
@@ -594,6 +613,7 @@ class TestCurveCSVWorkers:
                 time.sleep(60)
 
         def stop(x):
+            busy.extend(pool_pids())
             raise Stop
 
         hook_repr(monkeypatch, sleep_once, in_caller=stop)
@@ -602,12 +622,33 @@ class TestCurveCSVWorkers:
             write_curves_csv(path, values, grid)
         assert time.monotonic() - start < 30
         assert path.read_bytes() == b"earlier contents\n"
+        assert len(busy) == 2 and pool_pids() == []
         assert_no_child()
+        assert_gone(busy)
 
     def test_workers_flush_none_of_the_callers_files(self, tmp_path, cpus,
                                                      monkeypatch):
         values, grid = split_csv(cpus, monkeypatch)
         with open(tmp_path / "log.txt", "w") as log:
             log.write("written once\n")  # still in the caller's buffer
-            assert_written_as_one_process(tmp_path, values, grid)
+            # The workers are forked and then exit with this in their copy.
+            assert_written_as_one_process(tmp_path, values, grid,
+                                          workers_left=2)
         assert (tmp_path / "log.txt").read_text() == "written once\n"
+
+    @pytest.mark.skipif(_workers.openblas_threads() is None,
+                        reason="numpy's bundled OpenBLAS not found")
+    def test_worker_forked_by_a_write_runs_at_one_blas_thread(
+            self, tmp_path, cpus, monkeypatch):
+        # A write holds no BLAS count, so its workers are forked at the
+        # caller's two threads; they run at one all the same.
+        values, grid = split_csv(cpus, monkeypatch)
+        get, set_ = _workers.openblas_threads()
+        before = get()
+        set_(2)
+        try:
+            write_curves_csv(tmp_path / "curves.csv", values, grid)
+            assert len(pool_pids()) == 2
+            assert _workers.shares(worker_blas_threads, [()] * 3) == [2, 1, 1]
+        finally:
+            set_(before)

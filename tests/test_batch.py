@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcusum import basis, cli, harness
+from funcusum import _workers, basis, cli
 from funcusum.basis import FunctionalSample, change_basis, fourier_basis
 from funcusum.cusum import TestConfig as Config
 from funcusum.cusum import (_partial_sums, _standardized_sumsq, run_test,
@@ -33,7 +33,8 @@ from funcusum.harness import (_CHUNK, CellCoords, CellResult, ExperimentGrid,
 from funcusum.lrcov import _abs_sorted_eigh, lag_cov, lrcov_estimate
 from funcusum.simulate import Far1Simulator, SimSpec, _bridges, calibrate_kernel
 
-from conftest import Stop, assert_no_child
+from conftest import (Stop, assert_gone, assert_no_child, count_forks,
+                      pool_pids)
 
 SEEDS = [(5, 3, rep) for rep in range(_CHUNK + 1)]
 
@@ -171,47 +172,109 @@ def in_workers(monkeypatch, action, in_parent=None):
     monkeypatch.setattr(Far1Simulator, "generate", hooked)
 
 
-def test_no_worker_outlives_a_clean_or_failed_cell(cpus, monkeypatch):
-    # Three CPUs and 5 * 16 + 3 replications: two workers, two chunks
-    # each, and the calling process's two.
+def test_only_the_pool_outlives_a_clean_or_failed_cell(cpus, monkeypatch):
+    # Three CPUs: the first cell forks two workers and every later cell
+    # reuses them.  The failing cell has 5 * 16 + 3 replications, and its
+    # bad one is in worker 1's second chunk; the clean cell ends before it.
+    # Once the pool is closed, no child is left.
     cpus(3)
     assert_no_child()
-    threads = threading.active_count()
-    coords, grid = small_cell(5 * _CHUNK + 3)
-    assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
-    assert_no_child()
-    bad = 4 * _CHUNK + 5  # in worker 1's second chunk
+    forks = count_forks(monkeypatch)
+    bad = 4 * _CHUNK + 5
     poison(monkeypatch, {bad})
+    threads = threading.active_count()
+    coords, grid = small_cell(4 * _CHUNK)
+    assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
+    workers = pool_pids()
+    assert len(workers) == 2 and forks == [os.getpid()] * 2
+    coords, grid = small_cell(5 * _CHUNK + 3)
     res = run_cell(coords, grid, timer=lambda: 0.0)
     stream = (grid.seed, coords.index, bad)
     assert res.completed == bad
     assert res.error == (f"replication {bad} (stream {stream}) failed: "
                          f"bad stream {stream}")
-    assert_no_child()
+    assert pool_pids() == workers and len(forks) == 2
     assert threading.active_count() == threads
+    _workers.close()
+    assert_no_child()
+    assert_gone(workers)
+
+
+def test_later_cells_fork_nothing(cpus, monkeypatch):
+    cpus(3)
+    forks = count_forks(monkeypatch)
+    workers = None
+    for reps, index in ((5 * _CHUNK + 3, 2), (2 * _CHUNK + 1, 4),
+                        (3 * _CHUNK, 1)):
+        coords, grid = small_cell(reps, index)
+        assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
+        workers = workers or pool_pids()
+        assert pool_pids() == workers and forks == [os.getpid()] * 2
+
+
+def test_cells_on_four_threads_share_the_pool_one_at_a_time(cpus,
+                                                           monkeypatch):
+    # A cell started while another thread's cell holds the pool runs in
+    # its own thread alone, so no two cells mix on a worker's pipes.  The
+    # workers are forked before the threads start, so nothing forks while
+    # they run; the threads are daemons, so a hang fails the join.
+    cpus(3)
+    cells = [small_cell(5 * _CHUNK + 3, index) for index in range(4)]
+    expected = [fold(*cell) for cell in cells]
+    run_cell(*cells[0], timer=lambda: 0.0)
+    workers = pool_pids()
+    forks = count_forks(monkeypatch)
+    results = [[] for _ in cells]
+
+    def run(i):
+        for _ in range(3):
+            results[i].append(run_cell(*cells[i], timer=lambda: 0.0))
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(len(cells))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[res] * 3 for res in expected]
+    assert forks == [] and pool_pids() == workers
 
 
 def test_workers_killed_and_reaped_when_the_caller_raises(cpus, monkeypatch):
-    # The workers would sleep for a minute; a BaseException in the calling
-    # process's share kills them instead of waiting.
+    # The first cell's workers would sleep for a minute; a BaseException
+    # in the calling process's share kills them instead of waiting, and
+    # drops them from the pool.  The next cell forks new workers, which
+    # see `busy` filled and do not sleep.
     cpus(3)
+    busy = []
 
     def stop(seed):
-        raise Stop
+        if not busy:
+            busy.extend(pool_pids())
+            raise Stop
 
-    in_workers(monkeypatch, lambda seed: time.sleep(60), in_parent=stop)
+    in_workers(monkeypatch, lambda seed: busy or time.sleep(60),
+               in_parent=stop)
     start = time.monotonic()
     with pytest.raises(Stop):
         run_cell(*small_cell(5 * _CHUNK + 3))
     assert time.monotonic() - start < 30
+    assert len(busy) == 2 and pool_pids() == []
     assert_no_child()
+    assert_gone(busy)
+    coords, grid = small_cell(5 * _CHUNK + 3)
+    assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
+    assert len(pool_pids()) == 2 and not set(pool_pids()) & set(busy)
 
 
 def test_share_of_a_killed_worker_is_redone_by_the_caller(cpus, monkeypatch):
-    # Each worker is killed as it starts its second chunk, mid-share.
+    # Each worker is killed as it starts its second chunk, mid-share; the
+    # next cell, of one chunk per process, forks two workers in their place.
     cpus(3)
     coords, grid = small_cell(5 * _CHUNK + 3)
     expected = fold(coords, grid)
+    forks = count_forks(monkeypatch)
 
     def kill_on_second_chunk(seed):
         if seed[0][2] >= 3 * _CHUNK:
@@ -219,11 +282,17 @@ def test_share_of_a_killed_worker_is_redone_by_the_caller(cpus, monkeypatch):
 
     in_workers(monkeypatch, kill_on_second_chunk)
     assert run_cell(coords, grid, timer=lambda: 0.0) == expected
+    assert pool_pids() == [] and len(forks) == 2
     assert_no_child()
+    coords, grid = small_cell(3 * _CHUNK)
+    assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
+    assert len(pool_pids()) == 2 and len(forks) == 4
 
 
 def test_share_of_a_worker_that_cannot_be_forked_is_run_by_the_caller(
         cpus, monkeypatch):
+    # The second fork fails, so the caller runs worker 2's share; the next
+    # cell forks the missing worker.
     cpus(3)
     coords, grid = small_cell(5 * _CHUNK + 3)
     forks = []
@@ -237,7 +306,10 @@ def test_share_of_a_worker_that_cannot_be_forked_is_run_by_the_caller(
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
     assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
-    assert len(forks) == 2
+    assert len(forks) == 2 and len(pool_pids()) == 1
+    assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
+    assert len(forks) == 3 and len(pool_pids()) == 2
+    _workers.close()
     assert_no_child()
 
 
@@ -250,22 +322,9 @@ def blas_calls(monkeypatch):
         sets.append(value)
         count[0] = value
 
-    monkeypatch.setattr(harness, "_openblas_threads",
+    monkeypatch.setattr(_workers, "openblas_threads",
                         lambda: (lambda: count[0], set_))
     return sets
-
-
-def count_forks(monkeypatch):
-    """Log every os.fork call, then fork."""
-    forks = []
-    fork = os.fork
-
-    def counting():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
 
 
 def test_single_seed_starts_no_thread_or_process(cpus, monkeypatch,
@@ -273,9 +332,11 @@ def test_single_seed_starts_no_thread_or_process(cpus, monkeypatch,
     # The one-shot paths start no thread and leave BLAS as they find it,
     # however many CPUs there are.  They fork nothing, except where
     # `funcusum simulate` writes a CSV of at least two blocks of rows: at
-    # two CPUs it forks one worker to format the second block.  A cell of
-    # one chunk starts no thread and forks nothing either, but holds BLAS
-    # at one thread while it runs; a cell of two chunks forks one worker.
+    # two CPUs it forks one worker to format the second block, and keeps
+    # it.  A cell of one chunk starts no thread and forks nothing either,
+    # but holds BLAS at one thread while it runs; a cell of two chunks
+    # runs its second on that worker, forking nothing.  The worker is the
+    # only child left, and closing the pool reaps it.
     cpus(2)
     sets = blas_calls(monkeypatch)
     forks = count_forks(monkeypatch)
@@ -291,22 +352,27 @@ def test_single_seed_starts_no_thread_or_process(cpus, monkeypatch,
     assert cli.main(["simulate", str(config), "--out", str(curves)]) == 0
     assert cli.main(["test", str(curves), "--d", "2"]) == 0
     assert sets == [] and forks == []
+    assert_no_child()
     # Two blocks' worth of curves at the default 96 points per curve.
     n = -(-2 * basis._CSV_BLOCK // 96)
     config.write_text(f"n = {n}\nkernel = wiener\npsi = 0.4\n")
     assert cli.main(["simulate", str(config), "--out", str(curves)]) == 0
     assert sets == [] and forks == [os.getpid()]
     assert threading.active_count() == threads
-    assert_no_child()
+    workers = pool_pids()
+    assert len(workers) == 1
     assert cli.main(["test", str(curves), "--d", "2"]) == 0
     assert sets == [] and forks == [os.getpid()]
-    forks.clear()
     run_cell(*small_cell(_CHUNK))
-    assert sets == [1, 4] and forks == []
+    assert sets == [1, 4] and forks == [os.getpid()]
     assert threading.active_count() == threads
     run_cell(*small_cell(_CHUNK + 1))
     assert sets == [1, 4, 1, 4] and forks == [os.getpid()]
     assert threading.active_count() == threads
+    assert pool_pids() == workers
+    _workers.close()
+    assert_no_child()
+    assert_gone(workers)
 
 
 def test_blas_count_restored_after_a_cell(cpus, monkeypatch):
@@ -316,12 +382,13 @@ def test_blas_count_restored_after_a_cell(cpus, monkeypatch):
     generate = Far1Simulator.generate
 
     def spying(self, seed=None):
-        seen.append(harness._openblas_threads()[0]())
+        seen.append(_workers.openblas_threads()[0]())
         return generate(self, seed)
 
     monkeypatch.setattr(Far1Simulator, "generate", spying)
     run_cell(*small_cell(2 * _CHUNK + 3))
     assert sets == [1, 4] and set(seen) == {1}
+    _workers.close()  # the next cell's worker must see the poison
     poison(monkeypatch, {_CHUNK + 2})
     assert run_cell(*small_cell(2 * _CHUNK + 3)).error is not None
     assert sets == [1, 4, 1, 4]
@@ -335,11 +402,11 @@ def test_blas_count_restored_after_a_cell(cpus, monkeypatch):
     assert sets == [1, 4, 1, 4, 1, 4]
 
 
-@pytest.mark.skipif(harness._openblas_threads() is None,
+@pytest.mark.skipif(_workers.openblas_threads() is None,
                     reason="numpy's bundled OpenBLAS not found")
 def test_bundled_openblas_held_at_one_thread_during_a_cell(cpus, monkeypatch):
     cpus(2)
-    get, set_ = harness._openblas_threads()
+    get, set_ = _workers.openblas_threads()
     before = get()
     seen = []
     generate = Far1Simulator.generate
@@ -359,25 +426,43 @@ def test_bundled_openblas_held_at_one_thread_during_a_cell(cpus, monkeypatch):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
-def test_forked_child_draws_the_same_batch(cpus):
-    # The parent's workers end with its cell, so a child forked afterwards
-    # runs the same cell, forking workers of its own.
+def test_forked_child_draws_the_same_batch_with_a_pool_of_its_own(
+        cpus, monkeypatch):
+    # A child forked once the parent's pool holds a worker starts with an
+    # empty pool: it forks a worker of its own for the same cell, and
+    # closes its pool before it ends.  The parent's worker is untouched and
+    # serves the parent's next cell.
     cpus(2)
     coords, grid = small_cell(2 * _CHUNK + 3)
     parent = run_cell(coords, grid, timer=lambda: 0.0)
+    workers = pool_pids()
+    assert len(workers) == 1
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=lambda: sender.send(
-        run_cell(coords, grid, timer=lambda: 0.0)))
+
+    def child_cell():
+        inherited = pool_pids()
+        result = run_cell(coords, grid, timer=lambda: 0.0)
+        own = pool_pids()
+        _workers.close()
+        sender.send((inherited, result, own))
+
+    child = ctx.Process(target=child_cell)
     child.start()
     try:
         assert receiver.poll(60), "the forked child ran no cell"
-        assert receiver.recv() == parent
+        inherited, result, own = receiver.recv()
     finally:
         child.join(timeout=60)
         if child.is_alive():
             child.kill()
     assert not child.is_alive() and child.exitcode == 0
+    assert inherited == [] and result == parent
+    assert len(own) == 1 and own != workers
+    assert_gone(own)
+    forks = count_forks(monkeypatch)
+    assert run_cell(coords, grid, timer=lambda: 0.0) == parent
+    assert pool_pids() == workers and forks == []
 
 
 def test_standard_normal_into_buffer_equals_normal():

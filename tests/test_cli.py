@@ -924,3 +924,59 @@ class TestEntryPoint:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_no_worker_outlives_the_process(self, tmp_path):
+        # A fresh interpreter, told it has three usable CPUs, runs `tables`
+        # on cells of three chunks and `simulate` of three CSV blocks: its
+        # two pooled workers serve both and are reaped at exit, so once it
+        # has returned neither is left, running or unreaped.
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("n = 12\nkernel = wiener\npsi = 0.6\nd = 1, 2\n"
+                        "replications = 40\nburn_in = 15\n")
+        sim = tmp_path / "sim.cfg"
+        sim.write_text("n = 336\nkernel = wiener\npsi = 0.4\n")
+        commands = [
+            ["tables", str(grid), "--out", str(tmp_path / "cells.csv"),
+             "--quiet"],
+            ["simulate", str(sim), "--out", str(tmp_path / "curves.csv")]]
+        script = (
+            "import json, sys\n"
+            "from funcusum import _workers, cli\n"
+            "_workers.usable_cpus = lambda: 3\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    print('pool', json.dumps([w.pid for w in _workers._pool]))\n")
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        after_tables, after_simulate = [
+            json.loads(line.removeprefix("pool "))
+            for line in proc.stdout.splitlines() if line.startswith("pool ")]
+        assert len(after_tables) == 2 and after_simulate == after_tables
+        for pid in after_tables:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_workers_exit_when_the_process_is_killed(self):
+        # The workers hold the killed interpreter's stdout, so the run
+        # returns, rather than timing out, only once both have exited at
+        # EOF on their task pipes.
+        script = (
+            "import os, signal\n"
+            "from funcusum import _workers\n"
+            "from funcusum.harness import CellCoords, ExperimentGrid, "
+            "run_cell\n"
+            "_workers.usable_cpus = lambda: 3\n"
+            "run_cell(CellCoords(0, 12, 'wiener', 0.6, 2.0, 2, False),\n"
+            "         ExperimentGrid(replications=40, burn_in=15))\n"
+            "print(len(_workers._pool), flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == -9, proc.stderr
+        assert proc.stdout == "2\n"

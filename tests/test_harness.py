@@ -199,10 +199,12 @@ class TestRunCell:
         assert res.completed == 0
         assert math.isnan(res.reject_rate) and math.isnan(res.se)
 
-    def test_failing_replication_inside_a_chunk(self, monkeypatch):
+    def test_failing_replication_inside_a_chunk(self, monkeypatch,
+                                                fresh_pool):
         # Replication _CHUNK + 3 gets a nan coefficient, so its chunk fails
         # as a batch; the cell must still report that replication, with the
         # error run_test raises on it alone, and count the ones before it.
+        # The pool starts empty, so a worker that runs the chunk sees it.
         g = ExperimentGrid(replications=2 * _CHUNK, seed=11, burn_in=10)
         c = CellCoords(2, 40, "wiener", 0.4, 2.0, 2, False)
         bad = (11, 2, _CHUNK + 3)
