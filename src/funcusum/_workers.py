@@ -1,15 +1,16 @@
-"""Shares of one job spread over worker processes that live as long as
-the process.
+"""One job spread over worker processes that live as long as the process.
 
-The package's only source of parallelism: a Monte Carlo cell deals its
+The package's only source of parallelism: a Monte Carlo cell spreads its
 chunks of replications here, and a curve CSV its blocks of rows.  This
 module imports nothing from the package, so both can use it.
 
-Up to usable_cpus() - 1 workers are forked the first time a job needs
+spread() cuts a job's items into contiguous runs, one per process.  Up
+to usable_cpus() - 1 workers are forked the first time a job needs
 them, then kept, so later jobs fork nothing.  A worker holds numpy's
 bundled OpenBLAS at one thread and loops on its task pipe: it reads a
-pickled (function, args), runs it and writes the pickled result to its
-result pipe.  The rules that bound a worker's life:
+pickled (function, run of items, args), runs it and writes the pickled
+list of results to its result pipe.  A pickle marks its own end, so the
+pipes carry nothing else.  The rules that bound a worker's life:
 
 - At interpreter exit the task pipes are closed and every worker is
   reaped, killed if it has not exited after _EXIT_WAIT_S.
@@ -17,7 +18,7 @@ result pipe.  The rules that bound a worker's life:
   killed leaves no worker behind.
 - A worker that cannot be forked, dies, or closes its result pipe
   without a whole answer is dropped and reaped, and the caller runs its
-  share.
+  run.
 - When the caller raises, the workers still busy are killed, reaped and
   dropped.
 - A process forked from the caller, a new worker included, closes the
@@ -36,14 +37,12 @@ import pickle
 import signal
 import threading
 import time
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
 
 # Seconds close() waits for the workers to exit before it kills them.
 _EXIT_WAIT_S = 1.0
-# Bytes of the length that prefixes each message on a pipe.
-_HEADER = 8
 
 
 class _Worker(NamedTuple):
@@ -51,7 +50,7 @@ class _Worker(NamedTuple):
 
     pid: int
     tasks: int
-    results: int
+    results: BinaryIO
 
 
 _pool: list[_Worker] = []
@@ -84,42 +83,49 @@ def openblas_threads() -> tuple[Callable, Callable] | None:
     return None
 
 
-def shares(function: Callable, args: list[tuple]) -> list:
-    """[function(*a) for a in args].  The calling process runs the first
-    share and one pooled worker each other one, forked if the pool is
-    short of workers; the worker gets `function` (a module-level name),
-    its arguments and its result pickled.  A share that a worker does not
-    deliver is run here, so the result never depends on a worker's fate.
-    With one share, or while another thread's job holds the pool, every
-    share runs here."""
-    if len(args) < 2 or not _lock.acquire(blocking=False):
-        return [function(*a) for a in args]
+def spread(function: Callable, items: list, *args) -> list:
+    """[function(item, *args) for item in items].  The items are cut into
+    min(usable_cpus(), len(items)) contiguous runs: the calling process
+    runs the first and one pooled worker each other one, forked if the
+    pool is short of workers; the worker gets `function` (a module-level
+    name), its run and `args` pickled, and pickles its results back.  A
+    run that a worker does not deliver is run here, so the result never
+    depends on a worker's fate.  With one run, or while another thread's
+    job holds the pool, every item runs here."""
+    width = min(usable_cpus(), len(items))
+    if width < 2 or not _lock.acquire(blocking=False):
+        return _run(function, items, args)
+    runs = [items[w * len(items) // width:(w + 1) * len(items) // width]
+            for w in range(width)]
     busy: dict[int, _Worker] = {}
     try:
-        while len(_pool) < len(args) - 1 and _fork():
+        while len(_pool) < width - 1 and _fork():
             pass
-        for w, worker in enumerate(_pool[:len(args) - 1], start=1):
+        for w, worker in enumerate(_pool[:width - 1], start=1):
             busy[w] = worker
             try:
-                _send(worker.tasks, pickle.dumps((function, args[w]),
-                                                 pickle.HIGHEST_PROTOCOL))
+                _send(worker.tasks, (function, runs[w], args))
             except BrokenPipeError:  # the worker has died
                 _drop(busy.pop(w))
-        done = [function(*args[0])]
-        for w in range(1, len(args)):
-            data = _receive(busy[w].results) if w in busy else None
-            if data is None:
+        done = _run(function, runs[0], args)
+        for w in range(1, width):
+            results = _receive(busy[w].results) if w in busy else None
+            if results is None:
                 if w in busy:
                     _drop(busy.pop(w))
-                done.append(function(*args[w]))
+                results = _run(function, runs[w], args)
             else:
                 del busy[w]
-                done.append(pickle.loads(data))
+            done += results
         return done
     finally:
         for worker in busy.values():
             _drop(worker)
         _lock.release()
+
+
+def _run(function: Callable, items: list, args: tuple) -> list:
+    return [function(item, *args) for item in items]
 
 
 def close() -> None:
@@ -139,7 +145,7 @@ def close() -> None:
                     os.waitpid(worker.pid, 0)
                     break
                 time.sleep(0.001)
-        os.close(worker.results)
+        worker.results.close()
 
 
 def _fork() -> bool:
@@ -165,53 +171,48 @@ def _fork() -> bool:
             os._exit(code)
     os.close(task_read)
     os.close(result_write)
-    _pool.append(_Worker(pid, task_write, result_read))
+    _pool.append(_Worker(pid, task_write, open(result_read, "rb")))
     return True
 
 
 def _serve(tasks: int, results: int) -> None:
     """A worker's loop: run each task read from `tasks` and write its
-    result to `results`, until EOF on `tasks`.  A task that raises ends
-    the worker, and the caller runs that share."""
+    results to `results`, until EOF on `tasks`.  A task that raises ends
+    the worker, and the caller runs that run."""
     _, set_ = openblas_threads() or (None, lambda count: None)
     set_(1)
-    while (task := _receive(tasks)) is not None:
-        function, args = pickle.loads(task)
-        _send(results, pickle.dumps(function(*args), pickle.HIGHEST_PROTOCOL))
+    reader = open(tasks, "rb")
+    while (task := _receive(reader)) is not None:
+        _send(results, _run(*task))
 
 
 def _drop(worker: _Worker) -> None:
     """Kill and reap a worker, and take it out of the pool."""
     _pool.remove(worker)
     os.close(worker.tasks)
-    os.close(worker.results)
+    worker.results.close()
     os.kill(worker.pid, signal.SIGKILL)
     with contextlib.suppress(ChildProcessError):
         os.waitpid(worker.pid, 0)
 
 
-def _send(fd: int, data: bytes) -> None:
-    """Write one message: its length, then `data`."""
-    for part in (len(data).to_bytes(_HEADER, "little"), data):
-        view = memoryview(part)
-        while view:
-            view = view[os.write(fd, view):]
+def _send(fd: int, message: object) -> None:
+    """Write `message` pickled.  The writes are raw: a process forked
+    while a message is half written must hold no buffer that it could
+    flush into the pipe when it closes its copy."""
+    view = memoryview(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+    while view:
+        view = view[os.write(fd, view):]
 
 
-def _receive(fd: int) -> bytearray | None:
-    """Read one message, or None at EOF before its last byte."""
-    size = _read(fd, _HEADER)
-    return None if size is None else _read(fd, int.from_bytes(size, "little"))
-
-
-def _read(fd: int, size: int) -> bytearray | None:
-    buf = bytearray()
-    while len(buf) < size:
-        part = os.read(fd, size - len(buf))
-        if not part:
-            return None
-        buf += part
-    return buf
+def _receive(reader: BinaryIO) -> object:
+    """Read one pickled message, or None at EOF before its end.  `reader`
+    lives as long as its pipe, so bytes it reads ahead stay buffered for
+    the next message."""
+    try:
+        return pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        return None
 
 
 def _forget() -> None:
@@ -219,7 +220,7 @@ def _forget() -> None:
     global _lock
     for worker in _pool:
         os.close(worker.tasks)
-        os.close(worker.results)
+        worker.results.close()
     _pool.clear()
     _lock = threading.Lock()
 

@@ -23,8 +23,9 @@ from . import _workers
 # Conversion matrices kept by change_basis's per-process memo.
 _MEMO_SIZE = 64
 
-# Values per block of a written curve CSV: a file of k blocks is
-# formatted by min(k, usable CPUs) processes.  The break-even below was
+# Least values per block of a written curve CSV.  `_workers.spread`
+# deals the blocks, so a file of k blocks is formatted by min(k, usable
+# CPUs) processes.  The break-even below was
 # measured when every write forked its workers afresh: a fork cost the
 # caller 1.2-1.6 ms in os.fork, the worker started 2.6-3.0 ms after the
 # call, and copy-on-write faults slowed what the caller ran next by
@@ -404,23 +405,20 @@ def write_curves_csv(path: str, values: np.ndarray, grid: Grid) -> None:
 
     Each value is written as its repr, which reads back bitwise and never
     holds a comma, quote or newline, so no cell needs quoting.  The rows
-    are cut into min(usable CPUs, rows, values // _CSV_BLOCK) contiguous
-    blocks, at least one, and each process formats one block's text into
-    one string: the caller the first, a pooled worker process each other
-    one, which gets its rows pickled (see `_workers.shares`).  The file is
-    opened only once every block's text is in hand, so no worker holds it
-    open, and an error while formatting leaves an existing file as it
-    was.  The bytes do not depend on the number of blocks.
+    are cut into min(rows, values // _CSV_BLOCK) contiguous blocks, at
+    least one, and each block's text is formatted into one string by
+    `_workers.spread`: the caller formats the first run of blocks, and a
+    pooled worker process each other run, which gets its rows pickled.
+    The file is opened only once every block's text is in hand, so no
+    worker holds it open, and an error while formatting leaves an
+    existing file as it was.  The bytes do not depend on the number of
+    blocks.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != len(grid):
         raise ValueError("value columns do not match grid length")
-    rows = values.shape[0]
-    width = max(1, min(_workers.usable_cpus(), rows,
-                       values.size // _CSV_BLOCK))
-    blocks = _workers.shares(_format_rows, [
-        (values[w * rows // width:(w + 1) * rows // width],)
-        for w in range(width)])
+    blocks = _workers.spread(_format_rows, np.array_split(
+        values, max(1, min(len(values), values.size // _CSV_BLOCK))))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(f"t={p!r}" for p in grid.points.tolist()) + "\n")
         fh.writelines(blocks)

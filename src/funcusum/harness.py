@@ -8,15 +8,9 @@ do not depend on scheduling.  A cell's critical value depends on its
 (alpha, n, d) alone, so it is computed once, at set-up; a Gumbel cell
 with n <= 2 has none, and stops the grid there.  A cell runs its
 replications in chunks of _CHUNK through the pipeline's batched kernels,
-with numpy's bundled OpenBLAS held at one thread, and deals the chunks
-round robin to the calling process and one worker process per further
-usable CPU, up to one per chunk, through `_workers.shares`.  The workers
-are forked by the first cell (or curve CSV) that needs them and kept for
-the life of the process, so later cells fork nothing; each gets its
-share's chunks and the cell's simulator pickled and pipes its outcomes
-back.  A share that a worker does not deliver is run by the calling
-process.  Every number equals that of running the replications one at a
-time in the calling process.
+with numpy's bundled OpenBLAS held at one thread, and spreads the chunks
+over processes with `_workers.spread`.  Every number equals that of
+running the replications one at a time in the calling process.
 """
 
 from __future__ import annotations
@@ -215,20 +209,16 @@ def _one_blas_thread():
         set_(count)
 
 
-def _run_chunks(sim: Far1Simulator, cfg: TestConfig, crit: float,
-                chunks: list[list[tuple[int, int, int]]]) -> list:
-    """Per chunk of streams, a (reject, k_hat) pair per replication, or
+def _run_chunk(streams: list[tuple[int, int, int]], sim: Far1Simulator,
+               cfg: TestConfig, crit: float) -> list | None:
+    """A (reject, k_hat) pair per replication of a chunk of streams, or
     None if the chunk raised."""
-    done = []
-    for streams in chunks:
-        try:
-            stats = cusum_stats(sim.generate(streams), cfg)
-        except Exception:
-            done.append(None)
-        else:
-            done.append(list(zip((stats.statistic > crit).tolist(),
-                                 stats.k_standardized.tolist())))
-    return done
+    try:
+        stats = cusum_stats(sim.generate(streams), cfg)
+    except Exception:
+        return None
+    return list(zip((stats.statistic > crit).tolist(),
+                    stats.k_standardized.tolist()))
 
 
 def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
@@ -239,13 +229,10 @@ def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
     chunks = [[(settings.seed, coords.index, rep)
                for rep in range(first, min(first + _CHUNK, replications))]
               for first in range(0, replications, _CHUNK)]
-    width = min(_workers.usable_cpus(), len(chunks))
     outcomes: list[tuple[bool, int]] = []
     with _one_blas_thread():
-        shares = _workers.shares(_run_chunks, [
-            (sim, cfg, crit, chunks[w::width]) for w in range(width)])
-        for i, streams in enumerate(chunks):
-            chunk = shares[i % width][i // width]
+        done = _workers.spread(_run_chunk, chunks, sim, cfg, crit)
+        for streams, chunk in zip(chunks, done):
             if chunk is not None:
                 outcomes += chunk
                 continue

@@ -78,7 +78,8 @@ def _base_sq_norm(kind: str) -> float:
     # the kernels' closed-form norms: freeing this matrix is what raises
     # glibc's dynamic mmap threshold above a chunk's 0.3-1.9 MB
     # temporaries, so that they come from the heap.  Without it a serial
-    # n = 500, R = 96 cell took 7242 minor faults instead of 1.
+    # n = 500, R = 96 cell at d = 1, with OpenBLAS pinned to one thread,
+    # took 8208-8213 minor faults instead of 0-1.
     vals = _BASE_KERNELS[kind](g.points[:, None], g.points[None, :])
     return float(w @ np.square(vals, out=vals) @ w)
 

@@ -495,11 +495,11 @@ class TestCurveCSV:
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_writer_bytes_match_csv_module_in_blocks(self, tmp_path, cpus,
                                                      monkeypatch, count):
-        # One value per block, so a file of n rows is formatted by
-        # min(n, count) processes: n = 0..40 includes fewer rows than CPUs
-        # and row counts that the number of blocks does not divide.  The
-        # workers are forked by the first writes that need them, and every
-        # later write reuses them.
+        # One value per block makes each row a block, so a file of n rows
+        # is formatted by min(n, count) processes: n = 0..40 includes fewer
+        # rows than CPUs and row counts that the number of processes does
+        # not divide.  The workers are forked by the first writes that need
+        # them, and every later write reuses them.
         cpus(count)
         forks = count_forks(monkeypatch)
         monkeypatch.setattr(basis_module, "_CSV_BLOCK", 1)
@@ -523,8 +523,8 @@ class TestCurveCSV:
 
 
 def split_csv(cpus, monkeypatch, rows=30):
-    """Three blocks of ten rows at three CPUs: the caller formats rows
-    0..9 and two forked workers rows 10..19 and 20..29."""
+    """Thirty one-row blocks in three runs at three CPUs: the caller
+    formats rows 0..9 and two forked workers rows 10..19 and 20..29."""
     cpus(3)
     monkeypatch.setattr(basis_module, "_CSV_BLOCK", 1)
     grid = Grid(np.array([0.0, 0.25, 0.5, 1.0]))
@@ -559,7 +559,7 @@ def assert_written_as_one_process(tmp_path, values, grid, workers_left):
     assert_no_child()
 
 
-def worker_blas_threads():
+def worker_blas_threads(item):
     """The OpenBLAS thread count of the process that runs this."""
     return _workers.openblas_threads()[0]()
 
@@ -649,6 +649,7 @@ class TestCurveCSVWorkers:
         try:
             write_curves_csv(tmp_path / "curves.csv", values, grid)
             assert len(pool_pids()) == 2
-            assert _workers.shares(worker_blas_threads, [()] * 3) == [2, 1, 1]
+            assert _workers.spread(worker_blas_threads,
+                                   [None] * 3) == [2, 1, 1]
         finally:
             set_(before)

@@ -115,9 +115,9 @@ def small_cell(reps, index=2):
 
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_worker_processes_batch_equals_per_seed_samples(cpus, count):
-    # A cell's chunks are dealt round robin to the calling process and up
-    # to `count - 1` forked workers; its numbers equal those of its
-    # replications run one by one.
+    # A cell's chunks are cut into contiguous runs, one for the calling
+    # process and one for each of up to `count - 1` forked workers; its
+    # numbers equal those of its replications run one by one.
     cpus(count)
     for reps in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
                  2 * _CHUNK + 3, 5 * _CHUNK + 3):
@@ -174,8 +174,9 @@ def in_workers(monkeypatch, action, in_parent=None):
 
 def test_only_the_pool_outlives_a_clean_or_failed_cell(cpus, monkeypatch):
     # Three CPUs: the first cell forks two workers and every later cell
-    # reuses them.  The failing cell has 5 * 16 + 3 replications, and its
-    # bad one is in worker 1's second chunk; the clean cell ends before it.
+    # reuses them.  The failing cell has 5 * 16 + 3 replications in six
+    # chunks, two per process, and its bad one is in worker 2's first
+    # chunk; the clean cell ends before it.
     # Once the pool is closed, no child is left.
     cpus(3)
     assert_no_child()
@@ -243,7 +244,7 @@ def test_cells_on_four_threads_share_the_pool_one_at_a_time(cpus,
 
 def test_workers_killed_and_reaped_when_the_caller_raises(cpus, monkeypatch):
     # The first cell's workers would sleep for a minute; a BaseException
-    # in the calling process's share kills them instead of waiting, and
+    # in the calling process's run kills them instead of waiting, and
     # drops them from the pool.  The next cell forks new workers, which
     # see `busy` filled and do not sleep.
     cpus(3)
@@ -269,15 +270,16 @@ def test_workers_killed_and_reaped_when_the_caller_raises(cpus, monkeypatch):
 
 
 def test_share_of_a_killed_worker_is_redone_by_the_caller(cpus, monkeypatch):
-    # Each worker is killed as it starts its second chunk, mid-share; the
-    # next cell, of one chunk per process, forks two workers in their place.
+    # Six chunks, two per process: each worker is killed as it starts its
+    # second chunk (chunk 3 or 5), mid-run; the next cell, of one chunk
+    # per process, forks two workers in their place.
     cpus(3)
     coords, grid = small_cell(5 * _CHUNK + 3)
     expected = fold(coords, grid)
     forks = count_forks(monkeypatch)
 
     def kill_on_second_chunk(seed):
-        if seed[0][2] >= 3 * _CHUNK:
+        if seed[0][2] in (3 * _CHUNK, 5 * _CHUNK):
             os.kill(os.getpid(), signal.SIGKILL)
 
     in_workers(monkeypatch, kill_on_second_chunk)
@@ -291,7 +293,7 @@ def test_share_of_a_killed_worker_is_redone_by_the_caller(cpus, monkeypatch):
 
 def test_share_of_a_worker_that_cannot_be_forked_is_run_by_the_caller(
         cpus, monkeypatch):
-    # The second fork fails, so the caller runs worker 2's share; the next
+    # The second fork fails, so the caller runs worker 2's run; the next
     # cell forks the missing worker.
     cpus(3)
     coords, grid = small_cell(5 * _CHUNK + 3)

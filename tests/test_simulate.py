@@ -1,12 +1,18 @@
 """Functional AR(1) generator: shocks, kernel calibration, change injection."""
 
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import funcusum
 from funcusum.basis import Grid, bspline_basis, fit_sample, fourier_basis
 from funcusum.cli import main
 from funcusum.simulate import (
@@ -124,6 +130,36 @@ class TestCalibrateKernel:
         sq_norm = float(w @ (base ** 2) @ w)
         for psi in (0.0, 0.1, 0.4, 0.8, 0.999):
             assert calibrate_kernel(kind, psi).scale == psi / math.sqrt(sq_norm)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="glibc's dynamic mmap threshold")
+    def test_serial_cell_takes_no_page_faults_once_warm(self):
+        # Freeing the 1001-point quadrature matrix raises glibc's mmap
+        # threshold above a chunk's temporaries, so a warm cell reuses the
+        # heap.  With the norms returned as constants, the second cell
+        # below took about 8200 minor faults; it takes 0-1.  At d = 2 both
+        # read under 50, so the cell is at d = 1.  OpenBLAS is pinned to one
+        # thread, as in the runs that measured these counts.
+        script = (
+            "import resource\n"
+            "from funcusum import _workers\n"
+            "from funcusum.harness import CellCoords, ExperimentGrid, "
+            "run_cell\n"
+            "_workers.usable_cpus = lambda: 1\n"
+            "coords = CellCoords(0, 500, 'wiener', 0.4, 2.0, 1, False)\n"
+            "grid = ExperimentGrid(replications=96)\n"
+            "run_cell(coords, grid)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_cell(coords, grid)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt "
+            "- before)\n")
+        src = pathlib.Path(funcusum.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(src),
+                              "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
 
     def test_bad_arguments_raise_on_every_call(self):
         calibrate_kernel("wiener", 0.4)
