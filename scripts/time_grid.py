@@ -11,7 +11,10 @@ example a parent commit next to a change:
     python scripts/time_grid.py scripts/cell_n500.cfg --runs 5 \\
         --src ../parent/src --src src
 
-Each run's CSV goes to a temporary directory that is removed afterwards.
+With two or more `--src`, each tree's first CSV per BLAS setting is kept
+and compared byte for byte with the first tree's; the script prints the
+result and exits 1 if any differs.  The CSVs go to a temporary directory
+that is removed afterwards.
 """
 
 import argparse
@@ -54,6 +57,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def blas(pinned: bool) -> str:
+    return "pinned" if pinned else "unpinned"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("config", help="ExperimentGrid config file")
@@ -65,24 +72,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     srcs = args.src or [str(SRC)]
     results = {(src, pinned): [] for src in srcs for pinned in (True, False)}
+    first_csv = {}
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "cells.csv")
+        out = pathlib.Path(tmp, "cells.csv")
         for run in range(args.runs):
             # Alternate which side goes first, so drift on a shared
             # machine does not favour one of them.
             order = list(results) if run % 2 == 0 else list(results)[::-1]
             for src, pinned in order:
                 results[src, pinned].append(
-                    timed_run(src, args.config, pinned, out))
+                    timed_run(src, args.config, pinned, str(out)))
+                if run == 0:
+                    first_csv[src, pinned] = out.read_bytes()
     print(f"{args.config}: {args.runs} runs each, nproc {os.cpu_count()}")
     print("src  BLAS  wall_s q1/median/q3  peak_rss_mb q1/median/q3")
     for (src, pinned), runs in results.items():
         wall = quartiles([w for w, _ in runs])
         rss = quartiles([r for _, r in runs])
-        print(f"{src}  {'pinned' if pinned else 'unpinned'}  "
+        print(f"{src}  {blas(pinned)}  "
               + "/".join(f"{v:.2f}" for v in wall) + "  "
               + "/".join(f"{v:.1f}" for v in rss))
-    return 0
+    if len(srcs) == 1:
+        return 0
+    differ = [f"{src} {blas(pinned)}" for src, pinned in first_csv
+              if first_csv[src, pinned] != first_csv[srcs[0], pinned]]
+    print(f"CSV bytes against {srcs[0]}: "
+          + (f"DIFFER in {', '.join(differ)}" if differ else "identical"))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -238,15 +238,20 @@ def _fit_matrix(values: np.ndarray, grid: Grid, basis: Basis) -> np.ndarray:
     if values.shape[1] != len(grid):
         raise ValueError(
             f"{values.shape[1]} values per curve but grid has {len(grid)} points")
+    return np.linalg.lstsq(_fit_design(grid, basis), values.T,
+                           rcond=None)[0].T
+
+
+def _fit_design(grid: Grid, basis: Basis) -> np.ndarray:
+    """The design matrix on `grid`; SingularFitError below full column rank."""
     if len(grid) < basis.size:
         raise SingularFitError(
             f"cannot fit basis of size {basis.size} from {len(grid)} grid points")
     design = basis.evaluate(grid.points)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, values.T, rcond=None)
-    if rank < basis.size:
+    if (rank := np.linalg.matrix_rank(design)) < basis.size:
         raise SingularFitError(
             f"design matrix rank {rank} < basis size {basis.size}")
-    return coeffs.T
+    return design
 
 
 def fit_sample(values: np.ndarray, grid: Grid, basis: Basis) -> FunctionalSample:

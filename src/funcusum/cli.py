@@ -22,12 +22,12 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cusum, lrcov
 from .basis import (CurveCSVError, SingularFitError, bspline_basis,
                     fit_sample, read_curves_csv, write_curves_csv)
 from .cusum import ApproximationFailureError, TestConfig, run_test
-from .harness import (ExperimentGrid, cells_to_csv, format_table_panels,
-                      grid_sidecar, run_grid)
+from .harness import (_AXES, ExperimentGrid, _config_cell, cells_to_csv,
+                      format_table_panels, grid_sidecar, run_grid)
 from .simulate import Far1Simulator, SimSpec
 
 REPORT_SCHEMA = "funcusum-report-1"
@@ -302,9 +302,9 @@ def cmd_tables(args) -> int:
             seconds_done / steps_done * grid.replications
             * sum(steps[c.index + 1:])))
         status = "failed" if res.error else f"reject_rate={res.reject_rate:.4f}"
-        print(f"cell {c.index}/{total}: n={c.n} kernel={c.kernel} psi={c.psi:g} "
-              f"h={c.h:g} d={c.d} alt={c.alternative} {status} "
-              f"({res.seconds:.1f}s, eta {eta})", file=sys.stderr)
+        print(f"cell {c.index}/{total}: "
+              + " ".join(f"{k}={_config_cell(getattr(c, k))}" for k in _AXES)
+              + f" {status} ({res.seconds:.1f}s, eta {eta})", file=sys.stderr)
 
     results = run_grid(grid, progress=None if args.quiet else progress)
     cells_to_csv(results, args.out, timing=not args.no_timing)
@@ -341,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lag-window bandwidth (default: rate rule "
                              "floor(n^(1/4)))")
     p_test.add_argument("--lag-kernel", default="plain",
-                        choices=["plain", "bartlett", "parzen", "flattop"])
+                        choices=list(lrcov._KERNELS))
     p_test.add_argument("--alpha", type=float, default=0.10)
     p_test.add_argument("--critical", default="vostrikova",
-                        choices=["vostrikova", "gumbel"])
+                        choices=cusum._CRITICAL_METHODS)
     p_test.add_argument("--basis-smooth",
                         type=_int_tuple("--basis-smooth", ":", "J:order"),
                         default=(25, 4), metavar="J:ORDER",

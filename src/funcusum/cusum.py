@@ -23,6 +23,8 @@ from .basis import FunctionalSample, change_basis, fourier_basis
 from .lrcov import (_check_bandwidth, _require_orthonormal, default_bandwidth,
                     lag_window, lrcov_estimate)
 
+_CRITICAL_METHODS = ("vostrikova", "gumbel")
+
 
 class ApproximationFailureError(RuntimeError):
     """A numerical approximation (root bracketing, expansion) failed."""
@@ -46,7 +48,7 @@ class TestConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.h is not None:
             _check_bandwidth(self.h)
-        if self.critical_method not in ("vostrikova", "gumbel"):
+        if self.critical_method not in _CRITICAL_METHODS:
             raise ValueError(
                 f"unknown critical_method {self.critical_method!r}")
         lag_window(self.lag_kernel, 0.0)  # raises on unknown names

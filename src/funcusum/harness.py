@@ -1,16 +1,18 @@
 """Monte Carlo size/power experiments over grids of FAR(1) settings.
 
-One cell = one (n, kernel, psi, h, d, alternative) coordinate; R
-replications per cell, each replication an independent simulate -> test
-run.  Per-replication RNG streams derive from (master seed, cell index,
-replication index), so any cell can be reproduced in isolation and results
-do not depend on scheduling.  A cell's critical value depends on its
-(alpha, n, d) alone, so it is computed once, at set-up; a Gumbel cell
-with n <= 2 has none, and stops the grid there.  A cell runs its
-replications in chunks of _CHUNK through the pipeline's batched kernels,
-with numpy's bundled OpenBLAS held at one thread, and spreads the chunks
-over processes with `_workers.spread`.  Every number equals that of
-running the replications one at a time in the calling process.
+ExperimentGrid's tuple fields are the axes, in cell-index order; their
+config keys (`_AXES`) name the CellCoords fields and the first CSV
+columns.  One cell = one coordinate on every axis; R replications per
+cell, each an independent simulate -> test run.  Per-replication RNG
+streams derive from (master seed, cell index, replication index), so any
+cell can be reproduced in isolation and results do not depend on
+scheduling.  A cell's critical value depends on its (alpha, n, d) alone,
+so it is computed once, at set-up; a Gumbel cell with n <= 2 has none,
+and stops the grid there.  A cell runs its replications in chunks of
+_CHUNK through the pipeline's batched kernels, with numpy's bundled
+OpenBLAS held at one thread, and spreads the chunks over processes with
+`_workers.spread`.  Every number equals that of running the replications
+one at a time in the calling process.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import __version__, _workers
@@ -48,11 +50,11 @@ def _parse_bool(text: str) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Axes and shared settings of one Monte Carlo experiment."""
+    """Axes (the tuple fields) and shared settings of one experiment."""
 
     n_values: tuple[int, ...] = (100,)
-    psi_values: tuple[float, ...] = (0.2,)
     kernels: tuple[str, ...] = ("gaussian",)
+    psi_values: tuple[float, ...] = (0.2,)
     h_values: tuple[float, ...] = (2.0,)
     d_values: tuple[int, ...] = (2,)
     alternatives: tuple[bool, ...] = (False,)
@@ -71,8 +73,7 @@ class ExperimentGrid:
     fourier_size: int = 25
 
     def __post_init__(self) -> None:
-        for name in ("n_values", "psi_values", "kernels", "h_values",
-                     "d_values", "alternatives"):
+        for name in _AXES.values():
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
@@ -85,11 +86,9 @@ class ExperimentGrid:
 
     def cells(self) -> list["CellCoords"]:
         """All cells in the fixed product order that defines cell indices."""
-        combos = itertools.product(self.n_values, self.kernels,
-                                   self.psi_values, self.h_values,
-                                   self.d_values, self.alternatives)
-        return [CellCoords(i, n, kern, psi, h, d, alt)
-                for i, (n, kern, psi, h, d, alt) in enumerate(combos)]
+        combos = itertools.product(*(getattr(self, name)
+                                     for name in _AXES.values()))
+        return [CellCoords(i, *combo) for i, combo in enumerate(combos)]
 
     def to_config(self) -> str:
         lines = []
@@ -123,15 +122,13 @@ def _config_keys() -> dict[str, tuple[str, bool, Callable[[str], object]]]:
     name (`n_values` -> `n`, `kernels` -> `kernel`); its parser splits the
     value on commas.  Every other key is the field name itself.
     """
-    hints = get_type_hints(ExperimentGrid)
     out = {}
-    for f in fields(ExperimentGrid):
-        hint = hints[f.name]
+    for name, hint in get_type_hints(ExperimentGrid).items():
         axis = get_origin(hint) is tuple
-        key = f.name.removesuffix("_values").removesuffix("s") if axis else f.name
+        key = name.removesuffix("_values").removesuffix("s") if axis else name
         kind = get_args(hint)[0] if axis else hint
         conv = _parse_bool if kind is bool else kind
-        out[key] = (f.name, axis, _axis_parser(conv) if axis else conv)
+        out[key] = (name, axis, _axis_parser(conv) if axis else conv)
     return out
 
 
@@ -142,6 +139,8 @@ def _axis_parser(conv: Callable[[str], object]) -> Callable[[str], tuple]:
 
 
 _CONFIG_KEYS = _config_keys()
+# Axis config key -> ExperimentGrid field, in cell-index order.
+_AXES = {key: name for key, (name, axis, _) in _CONFIG_KEYS.items() if axis}
 
 
 @dataclass(frozen=True)
@@ -177,21 +176,19 @@ def _cell_setup(coords: CellCoords, settings: ExperimentGrid,
     """SimSpec, TestConfig and critical value of one cell; ValueError on
     any bad setting (a Gumbel cell with n <= 2 included), and
     ApproximationFailureError for an alpha with no Vostrikova root."""
-    change = None
-    if coords.alternative:
-        change = make_change(settings.change_shape, settings.theta,
-                             settings.change_amplitude)
-    spec = SimSpec(n=coords.n,
-                   kernel=calibrate_kernel(coords.kernel, coords.psi),
-                   change=change, burn_in=settings.burn_in,
-                   grid_points=settings.grid_points,
-                   basis_size=settings.basis_size,
-                   basis_order=settings.basis_order)
-    cfg = TestConfig(d=coords.d, h=float(coords.h),
-                     lag_kernel=settings.lag_kernel, alpha=settings.alpha,
-                     critical_method=settings.critical_method,
-                     fourier_size=settings.fourier_size)
-    return spec, cfg, critical_value(cfg, coords.n)
+    # The grid's settings by config key, the cell's value on each axis.
+    s = {key: getattr(settings, name)
+         for key, (name, _, _) in _CONFIG_KEYS.items()} | vars(coords)
+    change = (make_change(s["change_shape"], s["theta"], s["change_amplitude"])
+              if s["alternative"] else None)
+    spec = SimSpec(n=s["n"], kernel=calibrate_kernel(s["kernel"], s["psi"]),
+                   change=change, burn_in=s["burn_in"],
+                   grid_points=s["grid_points"], basis_size=s["basis_size"],
+                   basis_order=s["basis_order"])
+    cfg = TestConfig(d=s["d"], h=float(s["h"]), lag_kernel=s["lag_kernel"],
+                     alpha=s["alpha"], critical_method=s["critical_method"],
+                     fourier_size=s["fourier_size"])
+    return spec, cfg, critical_value(cfg, s["n"])
 
 
 @contextlib.contextmanager
@@ -302,8 +299,8 @@ def run_grid(grid: ExperimentGrid,
     return results
 
 
-CSV_COLUMNS = ("n", "kernel", "psi", "h", "d", "alternative", "R",
-               "reject_rate", "se", "khat_mean", "khat_median", "seconds")
+CSV_COLUMNS = (*_AXES, "R", "reject_rate", "se", "khat_mean", "khat_median",
+               "seconds")
 
 
 def cells_to_csv(results: list[CellResult], path: str, *,
@@ -319,18 +316,11 @@ def cells_to_csv(results: list[CellResult], path: str, *,
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for res in results:
-            c = res.coords
-            writer.writerow([
-                c.n, c.kernel, repr(c.psi), repr(c.h), c.d,
-                "true" if c.alternative else "false", res.replications,
-                _num(res.reject_rate), _num(res.se), _num(res.khat_mean),
-                _num(res.khat_median),
-                f"{res.seconds:.3f}" if timing else "0.0",
-            ])
-
-
-def _num(v: float) -> str:
-    return "nan" if math.isnan(v) else repr(v)
+            values = [getattr(res.coords, key) for key in _AXES]
+            values += [res.replications, res.reject_rate, res.se,
+                       res.khat_mean, res.khat_median]
+            writer.writerow([*map(_config_cell, values),
+                             f"{res.seconds:.3f}" if timing else "0.0"])
 
 
 def grid_sidecar(grid: ExperimentGrid, results: list[CellResult], *,

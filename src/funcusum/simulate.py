@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import FunctionalSample, Grid, bspline_basis, fit_sample
+from .basis import (FunctionalSample, Grid, _fit_design, bspline_basis,
+                    fit_sample)
 
 _CHANGE_SHAPES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sin": np.sin,
@@ -255,7 +256,7 @@ class Far1Simulator:
         self.spec = spec
         self.grid = Grid.uniform(spec.grid_points)
         self.basis = bspline_basis(spec.basis_size, spec.basis_order)
-        design = self.basis.evaluate(self.grid.points)
+        design = _fit_design(self.grid, self.basis)
         self._smoother = np.linalg.pinv(design)
         k_mat = spec.kernel.values(self.grid.points, self.grid.points)
         quad = k_mat * self.grid.trapezoid_weights[None, :]

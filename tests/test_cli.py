@@ -345,6 +345,16 @@ class TestCmdSimulate:
                 f"{seed.replace(' ', '')}\n" in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_fewer_grid_points_than_splines_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG.replace("grid_points = 30",
+                                          "grid_points = 6"))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        assert ("numerical failure: cannot fit basis of size 8 from 6 grid "
+                "points\n" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("n = 10\nkernel = wiener\npsi = 0.5\nwhatever = 1\n")
@@ -491,6 +501,19 @@ class TestCmdTables:
         assert not any(line.startswith("cell ") for line in err.splitlines())
         assert not out.exists()
 
+    def test_fewer_grid_points_than_splines_exit_3_before_any_cell(
+            self, tmp_path, capsys):
+        # A null-only grid fails as a grid with power cells does.
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG + "grid_points = 10\n")
+        out = tmp_path / "cells.csv"
+        assert main(["tables", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("numerical failure: cannot fit basis of size 25 from 10 grid "
+                "points\n" in err)
+        assert not any(line.startswith("cell ") for line in err.splitlines())
+        assert not out.exists()
+
     def test_gumbel_cell_without_critical_value_exit_2_before_any_cell(
             self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
@@ -535,6 +558,9 @@ class TestCmdTables:
         assert main(["tables", str(cfg), "--out", str(out)]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(":")[0] for line in lines] == ["cell 0/2", "cell 1/2"]
+        assert lines[1].startswith(
+            "cell 1/2: n=30 kernel=gaussian psi=0.2 h=1.0 d=2 "
+            "alternative=false reject_rate=")
         assert re.search(r"\(\d+\.\ds, eta \d+:\d\d:\d\d\)$", lines[0])
         assert lines[1].endswith(", eta 0:00:00)")
         assert main(["tables", str(cfg), "--out", str(out), "--quiet"]) == 0

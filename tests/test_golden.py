@@ -1,13 +1,15 @@
 """Golden outputs: a change that moves the pipeline's numbers fails here.
 
 The files under tests/data hold outputs the CLI wrote: the `--no-timing`
-CSVs of two small `tables` grids (four cells in all, both critical
-methods, one alternative cell, each grid next to its config) and the
-`result` block of one `test` report on a sample simulated from
-golden_sim.cfg.  They are compared with the benchmark's rule
+CSVs and `--panels` files of three small `tables` grids (both critical
+methods, both kernels, size and power cells, each grid next to its
+config) and the `result` block of one `test` report on a sample simulated
+from golden_sim.cfg.  Numbers are compared with the benchmark's rule
 (perfbench/workloads.py `close`): ints, bools and strings exactly, floats
-to 1e-9 relative, which allows for BLAS summation order only.  Rewrite
-them only for a change that means to move the numbers.
+to 1e-9 relative, which allows for BLAS summation order only.  The CSV
+header, its axis columns and the panels are compared as text, so their
+number format is pinned too.  Rewrite them only for a change that means
+to move the numbers or the format.
 """
 
 import csv
@@ -50,16 +52,26 @@ def csv_cells(path):
         return [[cell(c) for c in row] for row in csv.reader(fh)]
 
 
-@pytest.mark.parametrize("name", ["golden_vostrikova", "golden_gumbel"])
+AXIS_COLUMNS = 6
+
+
+@pytest.mark.parametrize("name", ["golden_vostrikova", "golden_gumbel",
+                                  "golden_mixed"])
 def test_tables_csv_matches_golden(tmp_path, capsys, name):
-    out = tmp_path / "cells.csv"
+    out, panels = tmp_path / "cells.csv", tmp_path / "cells.panels"
     assert main(["tables", str(DATA / f"{name}.cfg"), "--out", str(out),
-                 "--quiet", "--no-timing"]) == 0
+                 "--panels", str(panels), "--quiet", "--no-timing"]) == 0
     capsys.readouterr()
     got, want = csv_cells(out), csv_cells(DATA / f"{name}.csv")
     assert got[0] == want[0] and len(got) == len(want)
     for g, w in zip(got[1:], want[1:]):
         assert len(g) == len(w) and all(map(close, g, w)), (g, w)
+    # As text too: `close` reads "1" and "1.0" alike.
+    got, want = (out.read_text().splitlines(),
+                 (DATA / f"{name}.csv").read_text().splitlines())
+    assert ([row.split(",")[:AXIS_COLUMNS] for row in got]
+            == [row.split(",")[:AXIS_COLUMNS] for row in want])
+    assert panels.read_text() == (DATA / f"{name}.panels").read_text()
 
 
 def test_test_report_result_matches_golden(tmp_path, capsys):

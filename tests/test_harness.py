@@ -1,22 +1,30 @@
 """Monte Carlo experiment driver: grids, cells, CSV and provenance."""
 
 import csv
+import dataclasses
+import importlib.util
+import itertools
 import json
 import math
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import funcusum
 from funcusum import cusum
 from funcusum.basis import FunctionalSample
 from funcusum.cusum import ApproximationFailureError, run_test
 from funcusum.harness import (
+    _AXES,
     _CHUNK,
+    _CONFIG_KEYS,
     CSV_COLUMNS,
     CellCoords,
+    CellResult,
     ExperimentGrid,
     cells_to_csv,
     format_table_panels,
@@ -84,6 +92,29 @@ class TestExperimentGrid:
     @settings(max_examples=200, deadline=None)
     def test_config_round_trip_property(self, grid):
         assert ExperimentGrid.from_config(grid.to_config()) == grid
+
+    @given(GRIDS)
+    @settings(max_examples=100, deadline=None)
+    def test_axes_name_cells_and_csv_columns(self, tmp_path_factory, grid):
+        keys = tuple(key for key, (_, axis, _) in _CONFIG_KEYS.items()
+                     if axis)
+        assert keys == ("n", "kernel", "psi", "h", "d", "alternative")
+        assert (tuple(f.name for f in dataclasses.fields(CellCoords)[1:])
+                == CSV_COLUMNS[:len(keys)] == tuple(_AXES) == keys)
+        axes = [getattr(grid, _CONFIG_KEYS[key][0]) for key in keys]
+        cells = grid.cells()
+        assert ([(c.index, tuple(getattr(c, key) for key in keys))
+                 for c in cells]
+                == list(enumerate(itertools.product(*axes))))
+        path = tmp_path_factory.mktemp("axes") / "cells.csv"
+        cells_to_csv([CellResult(c, 1, 1, 0.0, 0.0, 0.5, 0.5, 0.0)
+                      for c in cells], path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        parsers = [_CONFIG_KEYS[key][2] for key in keys]
+        assert [tuple(parse(text) for parse, text in zip(parsers, row))
+                for row in rows] == [tuple((v,) for v in combo)
+                                     for combo in itertools.product(*axes)]
 
     def test_from_config_partial_keeps_defaults(self):
         g = ExperimentGrid.from_config("n = 30, 40\npsi = 0.5\n")
@@ -263,9 +294,11 @@ class TestRunGrid:
         dict(seed=-1),
         # A Gumbel cell with n = 2 has no critical value (log log n > 0).
         dict(n_values=(2, 30), critical_method="gumbel"),
-        # Ten grid points cannot fit the change in 25 B-splines, so only
-        # the power cells' simulator fails to build (SingularFitError).
+        # Ten grid points cannot fit 25 B-splines, so no simulator can be
+        # built, a null cell's as little as a power cell's
+        # (SingularFitError).
         dict(alternatives=(False, True), grid_points=10),
+        dict(grid_points=10),
     ])
     def test_bad_cell_setting_raises_before_any_cell(self, bad):
         seen = []
@@ -367,3 +400,30 @@ class TestTableConfigs:
         assert grid.alternatives == (alternative,)
         assert grid.seed == seed
         assert grid.alpha == 0.1
+
+
+class TestTimeGrid:
+    """scripts/time_grid.py compares the CSVs of the `--src` trees it times."""
+
+    def test_csv_bytes_compared_across_src_trees(self, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "time_grid", SCRIPTS / "time_grid.py")
+        time_grid = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(time_grid)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("n = 30\nd = 1\nreplications = 4\nburn_in = 5\n")
+        src = pathlib.Path(funcusum.__file__).parents[1]
+        other = tmp_path / "src"
+        shutil.copytree(src / "funcusum", other / "funcusum",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        argv = [str(cfg), "--runs", "1", "--src", str(src),
+                "--src", str(other)]
+        assert time_grid.main(argv) == 0
+        assert capsys.readouterr().out.endswith(
+            f"CSV bytes against {src}: identical\n")
+        harness_py = other / "funcusum" / "harness.py"
+        harness_py.write_text(harness_py.read_text().replace(
+            '"seconds")', '"secs")'))
+        assert time_grid.main(argv) == 1
+        assert capsys.readouterr().out.endswith(
+            f"DIFFER in {other} pinned, {other} unpinned\n")
