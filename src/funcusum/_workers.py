@@ -1,8 +1,9 @@
 """One job spread over worker processes that live as long as the process.
 
 The package's only source of parallelism: a Monte Carlo cell spreads its
-chunks of replications here, and a curve CSV its blocks of rows.  This
-module imports nothing from the package, so both can use it.
+chunks of replications here, a curve CSV write its runs of rows to
+format, and a curve CSV read its byte ranges of rows to parse.  This
+module imports nothing from the package, so each can use it.
 
 spread() cuts a job's items into contiguous runs, one per process.  Up
 to usable_cpus() - 1 workers are forked the first time a job needs
@@ -65,6 +66,12 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return 1
+
+
+def pooled() -> int:
+    """Workers the pool holds: a job of up to pooled() + 1 runs forks
+    none."""
+    return len(_pool)
 
 
 @functools.cache

@@ -90,9 +90,9 @@ def _checked_record(record, fields: dict, path: str, what: str, *,
 
 
 def _has_type(value, hint) -> bool:
-    """Whether a JSON value fits a field hint.  An int passes as a float or
-    a bool, since the dataclasses take those as they take the exact type;
-    a bool passes only as a bool."""
+    """Whether a JSON value fits a field hint.  An int passes as a float,
+    since the dataclasses take it as they take a float; a bool passes only
+    as a bool, and only a bool does."""
     origin = get_origin(hint)
     if origin is types.UnionType:
         return any(_has_type(value, h) for h in get_args(hint))
@@ -103,7 +103,7 @@ def _has_type(value, hint) -> bool:
                 and all(_has_type(v, args[0]) for v in value))
     if isinstance(value, bool) and hint is not bool:
         return False
-    return isinstance(value, {float: (int, float), bool: int}.get(hint, hint))
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _int_tuple(flag: str, sep: str, shape: str | None = None):

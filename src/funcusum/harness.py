@@ -73,10 +73,18 @@ class ExperimentGrid:
     fourier_size: int = 25
 
     def __post_init__(self) -> None:
-        for name in _AXES.values():
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-            if not getattr(self, name):
+        # n and d become ints and psi and h floats, whatever numbers they
+        # were given as, so the CSV writes each axis in one form.
+        for name, kind in _AXIS_TYPES.items():
+            values = tuple(getattr(self, name))
+            if not values:
                 raise ValueError(f"{name} must be nonempty")
+            if kind is bool:
+                if not all(isinstance(v, bool) for v in values):
+                    raise ValueError(f"{name} must be booleans, got {values!r}")
+            elif kind is not str:
+                values = tuple(map(kind, values))
+            object.__setattr__(self, name, values)
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.seed < 0:
@@ -115,15 +123,17 @@ def _config_cell(v) -> str:
     return str(v)
 
 
-def _config_keys() -> dict[str, tuple[str, bool, Callable[[str], object]]]:
-    """Config key -> (ExperimentGrid field, is an axis, value parser).
+def _config_keys(hints: dict,
+                 ) -> dict[str, tuple[str, bool, Callable[[str], object]]]:
+    """Config key -> (ExperimentGrid field, is an axis, value parser), from
+    ExperimentGrid's type hints.
 
     An axis field holds a tuple and its key is the singular of the field
     name (`n_values` -> `n`, `kernels` -> `kernel`); its parser splits the
     value on commas.  Every other key is the field name itself.
     """
     out = {}
-    for name, hint in get_type_hints(ExperimentGrid).items():
+    for name, hint in hints.items():
         axis = get_origin(hint) is tuple
         key = name.removesuffix("_values").removesuffix("s") if axis else name
         kind = get_args(hint)[0] if axis else hint
@@ -138,9 +148,12 @@ def _axis_parser(conv: Callable[[str], object]) -> Callable[[str], tuple]:
                               if p.strip())
 
 
-_CONFIG_KEYS = _config_keys()
+_HINTS = get_type_hints(ExperimentGrid)
+_CONFIG_KEYS = _config_keys(_HINTS)
 # Axis config key -> ExperimentGrid field, in cell-index order.
 _AXES = {key: name for key, (name, axis, _) in _CONFIG_KEYS.items() if axis}
+# Axis field -> the type of its cells.
+_AXIS_TYPES = {name: get_args(_HINTS[name])[0] for name in _AXES.values()}
 
 
 @dataclass(frozen=True)

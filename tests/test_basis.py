@@ -1,14 +1,18 @@
 """Bases, quadrature, smoothing and basis conversion."""
 
 import csv
+import json
 import math
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
@@ -653,3 +657,218 @@ class TestCurveCSVWorkers:
                                    [None] * 3) == [2, 1, 1]
         finally:
             set_(before)
+
+    def test_write_splits_rows_evenly_over_the_processes(self, tmp_path,
+                                                         cpus, monkeypatch):
+        # 400 curves of 96 points hold three blocks' worth of values; at
+        # two CPUs the caller formats the first half of the rows, and the
+        # worker the second.
+        cpus(2)
+        formatted = []
+        hook_repr(monkeypatch, lambda x: None, in_caller=formatted.append)
+        monkeypatch.setattr(basis_module, "_CSV_BLOCK", 400 * 96 // 3)
+        values = np.random.default_rng(5).normal(size=(400, 96))
+        assert_written_as_one_process(tmp_path, values, Grid.uniform(96),
+                                      workers_left=1)
+        assert formatted == values[:200].ravel().tolist()
+
+
+def curve_text(values, points, *, eol="\n", bom=False, final_eol=True,
+               blanks=()):
+    """A curve CSV of `values` (rows) on abscissae `points`, each value
+    written as its repr; a blank line goes before each row index in
+    `blanks`."""
+    lines = [",".join(f"t={p!r}" for p in points)]
+    for i, row in enumerate(values.tolist()):
+        lines += [""] * blanks.count(i) + [",".join(map(repr, row))]
+    text = eol.join(lines) + (eol if final_eol else "")
+    return (b"\xef\xbb\xbf" if bom else b"") + text.encode()
+
+
+def read_at(path, cpus):
+    """read_outcome of read_curves_csv at `path` over `cpus` CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_workers, "usable_cpus", lambda: cpus)
+        return read_outcome(read_curves_csv, path)
+
+
+def hook_loadtxt(monkeypatch, in_workers):
+    """Make read_curves_csv call `in_workers()` in every process but the
+    calling one before it parses a byte range."""
+    caller = os.getpid()
+    parse = basis_module._loadtxt_body
+
+    def hooked(fh, width):
+        if os.getpid() != caller:
+            in_workers()
+        return parse(fh, width)
+
+    monkeypatch.setattr(basis_module, "_loadtxt_body", hooked)
+
+
+class TestCurveCSVRead:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.integers(1, 60), width=st.integers(2, 8),
+           count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           eol=st.sampled_from(["\n", "\r\n"]), bom=st.booleans(),
+           final_eol=st.booleans(),
+           blanks=st.lists(st.integers(0, 60), max_size=4),
+           bad=st.sampled_from(["x", "nan", "-inf", "", '"1.5"', "1_0",
+                                "١"]))
+    def test_split_read_equals_one_process(self, tmp_path_factory,
+                                           monkeypatch, fresh_pool, rows,
+                                           width, count, seed, eol, bom,
+                                           final_eol, blanks, bad):
+        # With one value per block, a body of r rows is parsed in min(r,
+        # count) byte ranges; the pool keeps the workers of earlier
+        # examples.
+        monkeypatch.setattr(basis_module, "_CSV_BLOCK", 1)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(
+            -300, 300, size=(rows, width))
+        values.flat[rng.integers(values.size)] = -0.0
+        path = tmp_path_factory.mktemp("csv") / "curves.csv"
+        text = curve_text(values, np.linspace(0.0, 1.0, width).tolist(),
+                          eol=eol, bom=bom, final_eol=final_eol,
+                          blanks=blanks)
+        path.write_bytes(text)
+        outcome = read_at(path, count)
+        assert outcome == read_at(path, 1)
+        assert outcome[2] == values.tobytes()
+        # ... by np.loadtxt, in row-aligned ranges none of which is sent
+        # to the csv parser.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_workers, "usable_cpus", lambda: count)
+            parsed = basis_module._parsed_body(path, width)
+        assert parsed is not None and parsed.tobytes() == values.tobytes()
+        # A bad last cell is found in the last range, and read as one
+        # process reads it: the same values or the same error text.
+        tail = eol.encode() if final_eol else b""
+        path.write_bytes(text[:len(text) - len(tail)].rsplit(b",", 1)[0]
+                         + b"," + bad.encode() + tail)
+        assert read_at(path, count) == read_at(path, 1)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=curve_csv_texts())
+    def test_split_read_equals_csv_module_parser(self, tmp_path_factory,
+                                                 monkeypatch, fresh_pool,
+                                                 text):
+        # A line that np.loadtxt rejects in any range sends the whole
+        # file to the csv parser.
+        monkeypatch.setattr(basis_module, "_CSV_BLOCK", 1)
+        path = tmp_path_factory.mktemp("csv") / "curves.csv"
+        path.write_bytes(text.encode())
+        assert read_at(path, 3) == read_outcome(csv_parser_read, path)
+
+    def test_relative_path_is_read_from_the_callers_directory(
+            self, tmp_path, cpus, monkeypatch):
+        # The workers are forked in `first` and stay there; the caller
+        # then reads `curves.csv` in `second`, which `first` also holds.
+        cpus(3)
+        monkeypatch.setattr(basis_module, "_CSV_BLOCK", 1)
+        grid = Grid(np.array([0.0, 0.5, 1.0]))
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        monkeypatch.chdir(first)
+        write_curves_csv("curves.csv", np.zeros((30, 3)), grid)
+        assert read_curves_csv("curves.csv").values.tobytes() == bytes(720)
+        assert len(pool_pids()) == 2
+        monkeypatch.chdir(second)
+        values = np.random.default_rng(6).normal(size=(30, 3))
+        write_curves_csv("curves.csv", values, grid)
+        assert read_curves_csv("curves.csv").values.tobytes() \
+            == values.tobytes()
+
+    def test_range_of_a_killed_worker_is_parsed_by_the_caller(
+            self, tmp_path, cpus, monkeypatch):
+        values, grid = split_csv(cpus, monkeypatch)
+        write_curves_csv(tmp_path / "curves.csv", values, grid)
+        _workers.close()  # forked again below, with the hook
+        hook_loadtxt(monkeypatch,
+                     lambda: os.kill(os.getpid(), signal.SIGKILL))
+        back = read_curves_csv(tmp_path / "curves.csv").values
+        assert back.tobytes() == values.tobytes()
+        assert pool_pids() == []
+        assert_no_child()
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_range_of_a_worker_that_cannot_be_forked_is_parsed_by_the_caller(
+            self, tmp_path, cpus, monkeypatch, failing):
+        values, grid = split_csv(cpus, monkeypatch)
+        write_curves_csv(tmp_path / "curves.csv", values, grid)
+        _workers.close()
+        forks = []
+        fork = os.fork
+
+        def fork_fails():
+            forks.append(os.getpid())
+            if len(forks) == failing:
+                raise BlockingIOError("no process left")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+        back = read_curves_csv(tmp_path / "curves.csv").values
+        assert back.tobytes() == values.tobytes()
+        assert len(forks) == failing and len(pool_pids()) == failing - 1
+        _workers.close()
+        assert_no_child()
+
+    @pytest.mark.parametrize("curves,split", [(200, False), (240, True)])
+    def test_a_body_of_two_blocks_is_split_over_pooled_workers(
+            self, tmp_path, cpus, monkeypatch, curves, split):
+        # Under _READ_FORK_BLOCKS blocks a read forks nothing; once a
+        # worker is pooled, a body of two blocks or more gives it a range,
+        # which kills it here, and the caller parses that range as well.
+        cpus(2)
+        path = tmp_path / "curves.csv"
+        values = np.random.default_rng(curves).normal(size=(curves, 96))
+        path.write_bytes(curve_text(values, Grid.uniform(96).points.tolist()))
+        forks = count_forks(monkeypatch)
+        hook_loadtxt(monkeypatch,
+                     lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert read_curves_csv(path).values.tobytes() == values.tobytes()
+        assert forks == []
+        _workers.spread(worker_blas_threads, [None] * 2)
+        assert read_curves_csv(path).values.tobytes() == values.tobytes()
+        assert len(forks) == 1 and len(pool_pids()) == (0 if split else 1)
+
+    @pytest.mark.parametrize("blocks,forked", [(28, 0), (40, 1)])
+    def test_a_read_forks_for_a_body_of_read_fork_blocks(
+            self, tmp_path, cpus, monkeypatch, blocks, forked):
+        cpus(2)
+        monkeypatch.setattr(basis_module, "_CSV_BLOCK", 96)
+        path = tmp_path / "curves.csv"
+        values = np.random.default_rng(blocks).normal(size=(blocks, 96))
+        path.write_bytes(curve_text(values, Grid.uniform(96).points.tolist()))
+        forks = count_forks(monkeypatch)
+        assert read_curves_csv(path).values.tobytes() == values.tobytes()
+        assert len(forks) == forked
+
+    def test_cli_test_reaps_its_workers(self, tmp_path):
+        # `python -m funcusum.cli test`, told it has three usable CPUs and
+        # blocks of one curve, forks two workers to read 400 curves in
+        # three byte ranges; an exit hook that runs before the pool's own
+        # prints the workers' pids.
+        path = tmp_path / "curves.csv"
+        path.write_bytes(curve_text(np.random.default_rng(7).normal(
+            size=(400, 96)), Grid.uniform(96).points.tolist()))
+        script = (
+            "import atexit, json, runpy, sys\n"
+            "from funcusum import _workers, basis\n"
+            "_workers.usable_cpus = lambda: 3\n"
+            "basis._CSV_BLOCK = 96\n"
+            "atexit.register(lambda: print('pool', json.dumps(\n"
+            "    [w.pid for w in _workers._pool])))\n"
+            "sys.argv = ['funcusum', 'test', sys.argv[1], '--d', '2']\n"
+            "runpy.run_module('funcusum.cli', run_name='__main__')\n")
+        src = pathlib.Path(basis_module.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True,
+            text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        pids = json.loads(proc.stdout.splitlines()[-1].removeprefix("pool "))
+        assert len(pids) == 2
+        assert_gone(pids)

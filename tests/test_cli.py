@@ -737,7 +737,10 @@ class TestReplayRecordChecks:
         ("n_values", 5, "grid key 'n_values' has the wrong type: 5"),
         ("replications", True,
          "grid key 'replications' has the wrong type: True"),
-    ], ids=["unknown_key", "scalar_axis", "bool_replications"])
+        ("alternatives", [0],
+         "grid key 'alternatives' has the wrong type: [0]"),
+    ], ids=["unknown_key", "scalar_axis", "bool_replications",
+            "int_alternative"])
     def test_bad_grid_record_exit_2(self, tmp_path, capsys, key, value,
                                     message):
         cfg = tmp_path / "grid.cfg"
@@ -754,6 +757,25 @@ class TestReplayRecordChecks:
                      "--quiet"]) == 2
         assert f"input error: {sidecar}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_int_float_axes_replay_as_floats(self, tmp_path):
+        # JSON ints where the grid has floats give the CSV that the
+        # config's floats give.
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TABLES_CONFIG.replace("psi = 0.2", "psi = 0.0"))
+        args = ["--quiet", "--no-timing"]
+        assert main(["tables", str(cfg), "--out", str(tmp_path / "a.csv"),
+                     *args]) == 0
+        sidecar = tmp_path / "a.csv.manifest.json"
+        data = json.loads(sidecar.read_text())
+        assert data["grid"]["psi_values"] == [0.0]
+        data["grid"].update(psi_values=[0], h_values=[1])
+        sidecar.write_text(json.dumps(data))
+        assert main(["tables", "--replay", str(sidecar),
+                     "--out", str(tmp_path / "b.csv"), *args]) == 0
+        text = (tmp_path / "a.csv").read_text()
+        assert text.splitlines()[1].startswith("30,gaussian,0.0,1.0,1,false,")
+        assert (tmp_path / "b.csv").read_text() == text
 
     @pytest.mark.parametrize("edit,message", [
         (lambda m: m["preprocess"].update(drop_indices=[0]),

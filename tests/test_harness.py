@@ -159,6 +159,21 @@ class TestExperimentGrid:
         with pytest.raises(ValueError, match="nonempty"):
             ExperimentGrid(n_values=())
 
+    def test_axes_hold_their_declared_types(self):
+        # Numbers of another type are cast, so the CSV writes each axis in
+        # one form: psi and h as floats, n and d as ints.
+        g = ExperimentGrid(n_values=(np.int64(30), 40.0), psi_values=(0, 1),
+                           h_values=(np.float32(2.5), 1), d_values=(2.0,))
+        cells = [(c.n, c.psi, c.h, c.d) for c in g.cells()]
+        assert cells[0] == (30, 0.0, 2.5, 2) and cells[-1] == (40, 1.0, 1.0, 2)
+        assert all(type(v) is kind for cell in cells
+                   for v, kind in zip(cell, (int, float, float, int)))
+
+    @pytest.mark.parametrize("bad", [(0,), (False, 1), ("true",)])
+    def test_alternative_must_be_a_bool(self, bad):
+        with pytest.raises(ValueError, match="alternatives must be booleans"):
+            ExperimentGrid(alternatives=bad)
+
     def test_replications_guard(self):
         with pytest.raises(ValueError, match="replication"):
             ExperimentGrid(replications=0)
