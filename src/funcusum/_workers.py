@@ -1,9 +1,10 @@
 """One job spread over worker processes that live as long as the process.
 
 The package's only source of parallelism: a Monte Carlo cell spreads its
-chunks of replications here, a curve CSV write its runs of rows to
-format, and a curve CSV read its byte ranges of rows to parse.  This
-module imports nothing from the package, so each can use it.
+chunks of replications here, a curve CSV write its blocks of rows to
+format, and a curve CSV read its byte ranges of rows to parse, over the
+workers already pooled (warm_width()).  This module imports nothing
+from the package, so each can use it.
 
 spread() cuts a job's items into contiguous runs, one per process.  Up
 to usable_cpus() - 1 workers are forked the first time a job needs
@@ -68,10 +69,10 @@ def usable_cpus() -> int:
     return 1
 
 
-def pooled() -> int:
-    """Workers the pool holds: a job of up to pooled() + 1 runs forks
-    none."""
-    return len(_pool)
+def warm_width() -> int:
+    """Processes a job can be spread over without forking: the calling
+    one and each pooled worker, but no more than usable_cpus()."""
+    return min(usable_cpus(), 1 + len(_pool))
 
 
 @functools.cache

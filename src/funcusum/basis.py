@@ -25,9 +25,9 @@ from . import _workers
 # Conversion matrices kept by change_basis's per-process memo.
 _MEMO_SIZE = 64
 
-# Least values per process of a split curve CSV: `_pieces` cuts a file
-# of k such blocks into min(k, rows, usable CPUs) near-equal runs of rows,
-# which `_workers.spread` deals one per process.  The break-even below was
+# Least values per block of a written curve CSV.  `_workers.spread`
+# deals the blocks, so a file of k blocks is formatted by min(k, usable
+# CPUs) processes.  The break-even below was
 # measured when every write forked its workers afresh: a fork cost the
 # caller 1.2-1.6 ms in os.fork, the worker started 2.6-3.0 ms after the
 # call, and copy-on-write faults slowed what the caller ran next by
@@ -41,21 +41,14 @@ _MEMO_SIZE = 64
 # workers are now kept for the life of the process, so only the first
 # split write pays the fork; the value stays, since a one-shot `funcusum
 # simulate` still pays it once.  A read, which parses about 0.3 us a
-# value, splits from the same size over workers already pooled: there
-# the split of 300 curves took 6.9 against 12.7 ms (medians of 40
-# alternating reads) while the second CPU was free, and lost under 1 ms
-# while it was busy (600 curves: 18.9 against 18.3 ms).
+# value, splits from the same size, but only over workers already
+# pooled: there the split of 300 curves took 6.9 against 12.7 ms
+# (medians of 40 alternating reads) while the second CPU was free, and
+# lost under 1 ms while it was busy (600 curves: 18.9 against 18.3 ms).
+# A read never forks: in a fresh process, forking to read in two lost to
+# reading alone at every size from 150 to 2000 curves of 96 points
+# (medians -7 to -22 ms over 12-30 alternating pairs).
 _CSV_BLOCK = 112 * 96
-
-# Blocks a read's body must hold before the read forks workers; a smaller
-# body is split only over the workers a write or a Monte Carlo cell has
-# already forked.  On the same VM, a fresh process that forked to read in
-# two lost to one that read alone at every size from 150 to 2000 curves
-# of 96 points (medians -7 to -22 ms over 12-30 alternating pairs: the
-# worker starts 3-6 ms after the fork and faults its pages in, and the
-# second CPU was often busy), broke even near 3000 and gained at 4000
-# (+51 ms, 9 of 10 pairs) and 8000 (+97 ms, 10 of 10).
-_READ_FORK_BLOCKS = 32
 
 
 class SingularFitError(ValueError):
@@ -318,18 +311,19 @@ def read_curves_csv(path: str) -> CurveMatrix:
     from 0 to 1; `rescaled` records whether that happened.
 
     A body of plain comma-separated finite numbers is parsed by np.loadtxt
-    in row-aligned byte ranges, one per process, cut as write_curves_csv
-    cuts its rows (`_pieces`): the calling process parses the first range,
-    and a pooled worker each other one, which opens the file itself and
-    pickles its rows back.  A body under _READ_FORK_BLOCKS blocks is split
-    only over the workers already pooled, so it forks none.  The values do
-    not depend on the split.  Anything else in any range (quoted cells,
-    blank cells, ragged rows, nan or inf, a token loadtxt cannot parse,
-    bytes that are not UTF-8) sends the whole body to the csv parser,
-    which accepts every cell float() accepts and names the line and column
-    of the first bad one.  A non-seekable input, or a header that is not
-    one physical line, goes to the csv parser straight away.  A leading
-    UTF-8 byte-order mark, as spreadsheet programs write, is skipped.
+    in row-aligned byte ranges: one per process when it holds two blocks
+    of _CSV_BLOCK values or more, but only over the workers already
+    pooled, so a read forks none.  The calling process parses the first
+    range, and a pooled worker each other one, which opens the file
+    itself and pickles its rows back.  The values do not depend on the
+    split.  Anything else in any range (quoted cells, blank cells, ragged
+    rows, nan or inf, a token loadtxt cannot parse, bytes that are not
+    UTF-8), or a file that is no longer the one opened here, sends the
+    whole body to the csv parser, which accepts every cell float()
+    accepts and names the line and column of the first bad one.  A
+    non-seekable input, or a header that is not one physical line, goes
+    to the csv parser straight away.  A leading UTF-8 byte-order mark, as
+    spreadsheet programs write, is skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -365,7 +359,7 @@ def read_curves_csv(path: str) -> CurveMatrix:
         # the csv parser below reads the file as it would alone (a decode
         # error names the same position).
         if fh.seekable() and reader.line_num == 1:
-            values = _parsed_body(path, pts.size)
+            values = _parsed_body(path, pts.size, _identity(fh.fileno()))
             if values is not None:
                 return CurveMatrix(values, Grid(pts), rescaled)
         rows = []
@@ -391,27 +385,32 @@ def read_curves_csv(path: str) -> CurveMatrix:
     return CurveMatrix(values, Grid(pts), rescaled)
 
 
-def _parsed_body(path: str, width: int) -> np.ndarray | None:
+def _parsed_body(path: str, width: int, identity: tuple,
+                 ) -> np.ndarray | None:
     """The rows after the header of the CSV at `path`, parsed by
-    `_parse_range` over row-aligned byte ranges spread over processes, or
-    None when a range is rejected, the body holds no row, or the file's
-    first line holds a CR before its end (the csv parser's header then
-    ended there).  The row count that sets the split is estimated from
-    the length of the first body line."""
+    `_parse_range` over row-aligned byte ranges spread over the calling
+    process and the pooled workers, or None when a range is rejected, the
+    body holds no row, the file is not the one whose `_identity` is
+    `identity`, or its first line holds a CR before its end (the csv
+    parser's header then ended there).  The row count that sets the split
+    is estimated from the length of the first body line that is not
+    blank."""
     path = os.path.abspath(path)  # pooled workers keep their own cwd
     with open(path, "rb") as fh:
+        if _identity(fh.fileno()) != identity:
+            return None
         header = fh.readline()
         if b"\r" in header[:-2]:
             return None
         start = fh.tell()
-        line = len(fh.readline())
+        while (line := fh.readline()) and not line.strip():
+            pass
         end = fh.seek(0, os.SEEK_END)
         if not line:
             return None
-        rows = (end - start) // line
-        count = _pieces(rows * width, rows)
-        if rows * width < _READ_FORK_BLOCKS * _CSV_BLOCK:
-            count = min(count, 1 + _workers.pooled())
+        rows = (end - start) // len(line)
+        count = max(1, min(rows, rows * width // _CSV_BLOCK,
+                           _workers.warm_width()))
         cuts = [start]
         for k in range(1, count):
             # The first line that starts at or after the k-th nominal cut.
@@ -420,7 +419,8 @@ def _parsed_body(path: str, width: int) -> np.ndarray | None:
             cuts.append(fh.tell())
     cuts.append(end)
     parts = _workers.spread(_parse_range, [
-        (a, b) for a, b in zip(cuts, cuts[1:]) if a < b], path, width)
+        (a, b) for a, b in zip(cuts, cuts[1:]) if a < b], path, width,
+        identity)
     if any(part is None for part in parts):
         return None
     values = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -428,17 +428,27 @@ def _parsed_body(path: str, width: int) -> np.ndarray | None:
 
 
 def _parse_range(span: tuple[int, int], path: str, width: int,
-                 ) -> np.ndarray | None:
+                 identity: tuple) -> np.ndarray | None:
     """The rows in bytes span[0]:span[1] of the file at `path`, or None
-    when they cannot be read or `_loadtxt_body` rejects them.  It returns
-    None rather than raise, since a worker that raises dies."""
+    when it cannot be read or is no longer the file whose `_identity` is
+    `identity`, or `_loadtxt_body` rejects them.  It returns None rather
+    than raise, since a worker that raises dies."""
     try:
         with open(path, "rb") as fh:
+            if _identity(fh.fileno()) != identity:
+                return None
             fh.seek(span[0])
             text = fh.read(span[1] - span[0])
     except OSError:
         return None
     return _loadtxt_body(io.BytesIO(text), width)
+
+
+def _identity(fd: int) -> tuple[int, int, int, int]:
+    """What tells the file open at `fd` from one renamed over it or
+    rewritten: its device, inode, size and modification time."""
+    st = os.fstat(fd)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _loadtxt_body(fh, width: int) -> np.ndarray | None:
@@ -485,33 +495,26 @@ def write_curves_csv(path: str, values: np.ndarray, grid: Grid) -> None:
 
     Each value is written as its repr, which reads back bitwise and never
     holds a comma, quote or newline, so no cell needs quoting.  The rows
-    are cut into `_pieces` contiguous runs of near-equal length, and
-    `_workers.spread` formats each into its lines: the caller formats the
-    first run, and a pooled worker process each other one, which gets its
-    rows pickled.  The file is opened only once every run's text is in
-    hand, so no worker holds it open, and an error while formatting leaves
-    an existing file as it was.  The bytes do not depend on the split.
+    are cut into min(rows, values // _CSV_BLOCK) contiguous blocks, at
+    least one, and each block's text is formatted into one string by
+    `_workers.spread`: the caller formats the first run of blocks, and a
+    pooled worker process each other run, which gets its rows pickled.
+    The file is opened only once every block's text is in hand, so no
+    worker holds it open, and an error while formatting leaves an
+    existing file as it was.  The bytes do not depend on the number of
+    blocks.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != len(grid):
         raise ValueError("value columns do not match grid length")
-    runs = _workers.spread(_format_rows, np.array_split(
-        values, _pieces(values.size, len(values))))
+    blocks = _workers.spread(_format_rows, np.array_split(
+        values, max(1, min(len(values), values.size // _CSV_BLOCK))))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(f"t={p!r}" for p in grid.points.tolist()) + "\n")
-        for lines in runs:
-            fh.writelines(lines)
+        fh.writelines(blocks)
 
 
-def _pieces(values: int, rows: int) -> int:
-    """Processes a curve CSV of `rows` rows and `values` values is split
-    over, one near-equal run of rows each: as many as there are usable
-    CPUs, but none with fewer than one row or _CSV_BLOCK values, and at
-    least one."""
-    return max(1, min(_workers.usable_cpus(), rows, values // _CSV_BLOCK))
-
-
-def _format_rows(values: np.ndarray) -> list[str]:
-    """The CSV lines of a run of curve rows.  They are not joined, since a
-    joined run would hold its text twice at the peak."""
-    return [",".join(map(repr, row.tolist())) + "\n" for row in values]
+def _format_rows(values: np.ndarray) -> str:
+    """The CSV text of a block of curve rows."""
+    return "".join([",".join(map(repr, row.tolist())) + "\n"
+                    for row in values])

@@ -79,11 +79,8 @@ class ExperimentGrid:
             values = tuple(getattr(self, name))
             if not values:
                 raise ValueError(f"{name} must be nonempty")
-            if kind is bool:
-                if not all(isinstance(v, bool) for v in values):
-                    raise ValueError(f"{name} must be booleans, got {values!r}")
-            elif kind is not str:
-                values = tuple(map(kind, values))
+            if kind is not str:
+                values = tuple(_axis_value(name, kind, v) for v in values)
             object.__setattr__(self, name, values)
         if self.replications < 1:
             raise ValueError("need at least one replication")
@@ -113,6 +110,19 @@ class ExperimentGrid:
             key: parse for key, (_, _, parse) in _CONFIG_KEYS.items()})
         return cls(**{_CONFIG_KEYS[key][0]: value
                       for key, value in found.items()})
+
+
+def _axis_value(name: str, kind: type, value):
+    """`value` as a cell of the axis field `name`, whose cells are `kind`s.
+    A bool is a cell only of a bool axis, and the only cell there; an int
+    axis takes only whole numbers; no numeric axis takes a str."""
+    is_bool = isinstance(value, bool)
+    if (kind is bool) == is_bool and not isinstance(value, str):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            cast = kind(value)
+            if kind is not int or cast == value:
+                return cast
+    raise ValueError(f"{name} must be {kind.__name__}s, got {value!r}")
 
 
 def _config_cell(v) -> str:

@@ -1,7 +1,6 @@
 """Bases, quadrature, smoothing and basis conversion."""
 
 import csv
-import json
 import math
 import os
 import pathlib
@@ -658,20 +657,6 @@ class TestCurveCSVWorkers:
         finally:
             set_(before)
 
-    def test_write_splits_rows_evenly_over_the_processes(self, tmp_path,
-                                                         cpus, monkeypatch):
-        # 400 curves of 96 points hold three blocks' worth of values; at
-        # two CPUs the caller formats the first half of the rows, and the
-        # worker the second.
-        cpus(2)
-        formatted = []
-        hook_repr(monkeypatch, lambda x: None, in_caller=formatted.append)
-        monkeypatch.setattr(basis_module, "_CSV_BLOCK", 400 * 96 // 3)
-        values = np.random.default_rng(5).normal(size=(400, 96))
-        assert_written_as_one_process(tmp_path, values, Grid.uniform(96),
-                                      workers_left=1)
-        assert formatted == values[:200].ravel().tolist()
-
 
 def curve_text(values, points, *, eol="\n", bom=False, final_eol=True,
                blanks=()):
@@ -685,11 +670,42 @@ def curve_text(values, points, *, eol="\n", bom=False, final_eol=True,
     return (b"\xef\xbb\xbf" if bom else b"") + text.encode()
 
 
+def warm_pool(count):
+    """Pool workers until `count` processes can take a job without a
+    fork; usable_cpus() must allow that many."""
+    _workers.spread(worker_blas_threads, [None] * count)
+    assert _workers.warm_width() == count
+
+
 def read_at(path, cpus):
-    """read_outcome of read_curves_csv at `path` over `cpus` CPUs."""
+    """read_outcome of read_curves_csv at `path` over `cpus` CPUs, with
+    the workers pooled beforehand, since a read forks none."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_workers, "usable_cpus", lambda: cpus)
+        warm_pool(cpus)
         return read_outcome(read_curves_csv, path)
+
+
+def parsed_body(path, width):
+    """basis._parsed_body of the file at `path`, as read_curves_csv calls
+    it."""
+    with open(path, "rb") as fh:
+        return basis_module._parsed_body(
+            path, width, basis_module._identity(fh.fileno()))
+
+
+def count_ranges(monkeypatch):
+    """A list that gets the number of byte ranges of each read."""
+    ranges = []
+    spread = _workers.spread
+
+    def counted(function, items, *args):
+        if function is basis_module._parse_range:
+            ranges.append(len(items))
+        return spread(function, items, *args)
+
+    monkeypatch.setattr(_workers, "spread", counted)
+    return ranges
 
 
 def hook_loadtxt(monkeypatch, in_workers):
@@ -740,7 +756,7 @@ class TestCurveCSVRead:
         # to the csv parser.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_workers, "usable_cpus", lambda: count)
-            parsed = basis_module._parsed_body(path, width)
+            parsed = parsed_body(path, width)
         assert parsed is not None and parsed.tobytes() == values.tobytes()
         # A bad last cell is found in the last range, and read as one
         # process reads it: the same values or the same error text.
@@ -789,17 +805,21 @@ class TestCurveCSVRead:
         _workers.close()  # forked again below, with the hook
         hook_loadtxt(monkeypatch,
                      lambda: os.kill(os.getpid(), signal.SIGKILL))
+        warm_pool(3)
         back = read_curves_csv(tmp_path / "curves.csv").values
         assert back.tobytes() == values.tobytes()
         assert pool_pids() == []
         assert_no_child()
 
     @pytest.mark.parametrize("failing", [1, 2])
-    def test_range_of_a_worker_that_cannot_be_forked_is_parsed_by_the_caller(
+    def test_a_read_forks_no_worker_the_pool_lacks(
             self, tmp_path, cpus, monkeypatch, failing):
+        # A worker that could not be forked is not forked by a read: at
+        # three CPUs the body is cut into one range per process the pool
+        # can serve, and the values are the same.
         values, grid = split_csv(cpus, monkeypatch)
-        write_curves_csv(tmp_path / "curves.csv", values, grid)
-        _workers.close()
+        path = tmp_path / "curves.csv"
+        path.write_bytes(curve_text(values, grid.points.tolist()))
         forks = []
         fork = os.fork
 
@@ -810,22 +830,57 @@ class TestCurveCSVRead:
             return fork()
 
         monkeypatch.setattr(os, "fork", fork_fails)
-        back = read_curves_csv(tmp_path / "curves.csv").values
-        assert back.tobytes() == values.tobytes()
+        _workers.spread(worker_blas_threads, [None] * 3)
         assert len(forks) == failing and len(pool_pids()) == failing - 1
+        ranges = count_ranges(monkeypatch)
+        assert read_curves_csv(path).values.tobytes() == values.tobytes()
+        assert len(forks) == failing and ranges == [failing]
         _workers.close()
         assert_no_child()
 
+    def test_a_file_replaced_during_the_read_is_read_as_first_opened(
+            self, tmp_path, cpus, monkeypatch):
+        # The workers die once they have read their ranges, and the caller
+        # renames another file of the same layout over this one once it
+        # has read its own; it then finds another file where it reads the
+        # workers' ranges, so the csv parser reads the body from the
+        # handle that read the header.
+        values, grid = split_csv(cpus, monkeypatch)
+        values = np.random.default_rng(8).integers(1, 9, size=values.shape)
+        path, other = tmp_path / "curves.csv", tmp_path / "other.csv"
+        path.write_bytes(curve_text(values * 1.0, grid.points.tolist()))
+        other.write_bytes(curve_text(10.0 - values, grid.points.tolist()))
+        assert len(other.read_bytes()) == len(path.read_bytes())
+        caller = os.getpid()
+        parse = basis_module._loadtxt_body
+
+        def hooked(fh, width):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if other.exists():
+                os.replace(other, path)
+            return parse(fh, width)
+
+        monkeypatch.setattr(basis_module, "_loadtxt_body", hooked)
+        warm_pool(3)
+        ranges = count_ranges(monkeypatch)
+        back = read_curves_csv(path).values
+        assert ranges == [3] and not other.exists()
+        assert back.tobytes() == (values * 1.0).tobytes()
+
     @pytest.mark.parametrize("curves,split", [(200, False), (240, True)])
+    @pytest.mark.parametrize("blank", [False, True])
     def test_a_body_of_two_blocks_is_split_over_pooled_workers(
-            self, tmp_path, cpus, monkeypatch, curves, split):
-        # Under _READ_FORK_BLOCKS blocks a read forks nothing; once a
-        # worker is pooled, a body of two blocks or more gives it a range,
-        # which kills it here, and the caller parses that range as well.
+            self, tmp_path, cpus, monkeypatch, curves, split, blank):
+        # A read forks nothing; once a worker is pooled, a body of two
+        # blocks or more gives it a range, which kills it here, and the
+        # caller parses that range as well.  A blank line before the rows
+        # does not count as the row that sets the estimate.
         cpus(2)
         path = tmp_path / "curves.csv"
         values = np.random.default_rng(curves).normal(size=(curves, 96))
-        path.write_bytes(curve_text(values, Grid.uniform(96).points.tolist()))
+        path.write_bytes(curve_text(values, Grid.uniform(96).points.tolist(),
+                                    blanks=(0,) * blank))
         forks = count_forks(monkeypatch)
         hook_loadtxt(monkeypatch,
                      lambda: os.kill(os.getpid(), signal.SIGKILL))
@@ -835,33 +890,22 @@ class TestCurveCSVRead:
         assert read_curves_csv(path).values.tobytes() == values.tobytes()
         assert len(forks) == 1 and len(pool_pids()) == (0 if split else 1)
 
-    @pytest.mark.parametrize("blocks,forked", [(28, 0), (40, 1)])
-    def test_a_read_forks_for_a_body_of_read_fork_blocks(
-            self, tmp_path, cpus, monkeypatch, blocks, forked):
-        cpus(2)
-        monkeypatch.setattr(basis_module, "_CSV_BLOCK", 96)
-        path = tmp_path / "curves.csv"
-        values = np.random.default_rng(blocks).normal(size=(blocks, 96))
-        path.write_bytes(curve_text(values, Grid.uniform(96).points.tolist()))
-        forks = count_forks(monkeypatch)
-        assert read_curves_csv(path).values.tobytes() == values.tobytes()
-        assert len(forks) == forked
-
-    def test_cli_test_reaps_its_workers(self, tmp_path):
+    def test_cli_test_forks_no_worker(self, tmp_path):
         # `python -m funcusum.cli test`, told it has three usable CPUs and
-        # blocks of one curve, forks two workers to read 400 curves in
-        # three byte ranges; an exit hook that runs before the pool's own
-        # prints the workers' pids.
+        # blocks of one curve, reads 400 curves in one process: an exit
+        # hook that runs before the pool's own prints the forks made.
         path = tmp_path / "curves.csv"
         path.write_bytes(curve_text(np.random.default_rng(7).normal(
             size=(400, 96)), Grid.uniform(96).points.tolist()))
         script = (
-            "import atexit, json, runpy, sys\n"
+            "import atexit, os, runpy, sys\n"
             "from funcusum import _workers, basis\n"
             "_workers.usable_cpus = lambda: 3\n"
             "basis._CSV_BLOCK = 96\n"
-            "atexit.register(lambda: print('pool', json.dumps(\n"
-            "    [w.pid for w in _workers._pool])))\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "atexit.register(lambda: print('forks', len(forks),\n"
+            "                              len(_workers._pool)))\n"
             "sys.argv = ['funcusum', 'test', sys.argv[1], '--d', '2']\n"
             "runpy.run_module('funcusum.cli', run_name='__main__')\n")
         src = pathlib.Path(basis_module.__file__).resolve().parents[1]
@@ -869,6 +913,4 @@ class TestCurveCSVRead:
             [sys.executable, "-c", script, str(path)], capture_output=True,
             text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
-        pids = json.loads(proc.stdout.splitlines()[-1].removeprefix("pool "))
-        assert len(pids) == 2
-        assert_gone(pids)
+        assert proc.stdout.splitlines()[-1] == "forks 0 0"

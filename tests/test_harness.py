@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import shutil
 
 import numpy as np
@@ -171,8 +172,23 @@ class TestExperimentGrid:
 
     @pytest.mark.parametrize("bad", [(0,), (False, 1), ("true",)])
     def test_alternative_must_be_a_bool(self, bad):
-        with pytest.raises(ValueError, match="alternatives must be booleans"):
+        with pytest.raises(ValueError, match="alternatives must be bools"):
             ExperimentGrid(alternatives=bad)
+
+    @pytest.mark.parametrize("field,bad,message", [
+        ("n_values", (30.5,), "n_values must be ints, got 30.5"),
+        ("d_values", (1.7,), "d_values must be ints, got 1.7"),
+        ("n_values", ("30",), "n_values must be ints, got '30'"),
+        ("n_values", (True,), "n_values must be ints, got True"),
+        ("psi_values", ("0.2",), "psi_values must be floats, got '0.2'"),
+        ("h_values", (None,), "h_values must be floats, got None"),
+    ])
+    def test_numeric_axis_takes_only_numbers_of_its_kind(self, field, bad,
+                                                         message):
+        # Nothing is truncated or parsed: a value that is not a number of
+        # the axis's kind is refused, and the message names the field.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentGrid(**{field: bad})
 
     def test_replications_guard(self):
         with pytest.raises(ValueError, match="replication"):
