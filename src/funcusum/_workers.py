@@ -157,7 +157,10 @@ def close() -> None:
 
 
 def _fork() -> bool:
-    """Fork one more worker into the pool; False if that fails."""
+    """Fork one more worker into the pool; False if that fails.  The
+    OpenBLAS lookup is made here first, so that each worker inherits it
+    rather than repeating it."""
+    openblas_threads()
     fds: list[int] = []
     try:
         fds += os.pipe()

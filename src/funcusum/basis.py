@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 import warnings
@@ -27,22 +28,24 @@ _MEMO_SIZE = 64
 
 # Least values per block of a written curve CSV.  `_workers.spread`
 # deals the blocks, so a file of k blocks is formatted by min(k, usable
-# CPUs) processes.  The break-even below was
-# measured when every write forked its workers afresh: a fork cost the
-# caller 1.2-1.6 ms in os.fork, the worker started 2.6-3.0 ms after the
-# call, and copy-on-write faults slowed what the caller ran next by
-# 1.6-3.0 ms, while formatting costs 1-1.5 us a value.  On a 2-core
-# x86-64 VM, `funcusum simulate` then `funcusum test` at 96 points per
-# curve broke even split in two between 160 and 224 curves (median gain
-# over 41 alternating pairs -2.4 to +3.5 ms, three to six passes each)
-# and gained at 256 (+1.1 to +6.6 ms, three passes); at 30 points the
-# split lost 6.1 ms at 300 curves and gained 8.0 ms at 1000.  So a file
-# splits from the top of that band, 2 * 112 curves of 96 points.  The
-# workers are now kept for the life of the process, so only the first
-# split write pays the fork; the value stays, since a one-shot `funcusum
-# simulate` still pays it once.  A read, which parses about 0.3 us a
-# value, splits from the same size, but only over workers already
-# pooled: there the split of 300 curves took 6.9 against 12.7 ms
+# CPUs) processes.  Formatting costs 0.3-0.45 us a value
+# (`_format_rows`), about what a read's parse costs, so a read splits
+# from the same size.  Measured on a 2-core x86-64 VM with the worker
+# pooled (30 alternating writes of 96-point curves a size), a split write
+# gained 11-17 ms at 700-1000 curves in one session, and lost 1-2.5 ms at
+# every size from 224 to 1000 in another, when the woken worker ran on
+# the caller's CPU; the odd block counts of 400 and 600 curves cost no
+# more than the even ones.  The `cli_pipeline` benchmark (4 alternating
+# runs) served 19-22 requests/s at this size and at twice it, and 16-17
+# at four times it, whose larger blocks also raised its peak RSS from
+# 54-56 to 65 MB: a block's arrays then outgrow the cache, and one
+# process formats 0.36 us a value in blocks of 43 008 values against
+# 0.30 in blocks of this size or twice it (0.37 in blocks of 2688, where
+# the calls into numpy dominate).  In a fresh process the fork costs
+# more than the split saves: one `funcusum simulate` then `funcusum test`
+# lost 12-18 ms to it at every size from 224 to 1000 curves (16 pairs).
+# A read, which parses about 0.3 us a value, splits only over workers
+# already pooled: there the split of 300 curves took 6.9 against 12.7 ms
 # (medians of 40 alternating reads) while the second CPU was free, and
 # lost under 1 ms while it was busy (600 curves: 18.9 against 18.3 ms).
 # A read never forks: in a fresh process, forking to read in two lost to
@@ -496,7 +499,7 @@ def write_curves_csv(path: str, values: np.ndarray, grid: Grid) -> None:
     Each value is written as its repr, which reads back bitwise and never
     holds a comma, quote or newline, so no cell needs quoting.  The rows
     are cut into min(rows, values // _CSV_BLOCK) contiguous blocks, at
-    least one, and each block's text is formatted into one string by
+    least one, and each block's text is formatted by `_format_rows` through
     `_workers.spread`: the caller formats the first run of blocks, and a
     pooled worker process each other run, which gets its rows pickled.
     The file is opened only once every block's text is in hand, so no
@@ -509,12 +512,174 @@ def write_curves_csv(path: str, values: np.ndarray, grid: Grid) -> None:
         raise ValueError("value columns do not match grid length")
     blocks = _workers.spread(_format_rows, np.array_split(
         values, max(1, min(len(values), values.size // _CSV_BLOCK))))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"t={p!r}" for p in grid.points.tolist()) + "\n")
+    header = ",".join(f"t={p!r}" for p in grid.points.tolist())
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         fh.writelines(blocks)
 
 
-def _format_rows(values: np.ndarray) -> str:
-    """The CSV text of a block of curve rows."""
-    return "".join([",".join(map(repr, row.tolist())) + "\n"
-                    for row in values])
+# Tables of the repr kernel.  10^0..10^22 are exact doubles, and
+# _SPLIT_HI + _SPLIT_LO splits each into two halves of at most 26 bits
+# (Veltkamp), as Dekker's product needs; 10^0..10^17 as int64.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_INT = np.array([10**k for k in range(18)], dtype=np.int64)
+
+
+def _veltkamp(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo == v exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * v  # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+_SPLIT_HI, _SPLIT_LO = _veltkamp(_POW10)
+# A value's text is laid out in 44 bytes (11 uint32 words), and the zero
+# bytes are deleted: words 0-4 hold the sign, a leading "0" (when the
+# point comes before the first digit), the integer digits and the point;
+# words 5-9 the zeros after the point (up to three) and the fraction
+# digits; word 10 a "0" when there is no fraction digit, and the
+# separator.  Byte s of words 0-4 or of words 5-9 holds digit s - 3 of
+# the 17 (left-aligned, zero-padded) digits.  The tables are built as
+# bytes and viewed as words, so they do not depend on the byte order.
+# Row v + 3 of a mask table is for a point position or digit count v:
+# _BELOW keeps the digits before it, _INT_KEEP those and bytes 0-1, and
+# _ZEROS holds -v zeros for a point before the first digit.
+_SLOTS = np.arange(20) - 3
+_V = np.arange(-3, 18)[:, None]
+# The four ASCII digits of 0..9999, each as one word.
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                                indexing="ij"), axis=-1).view(np.uint32).ravel()
+_BELOW = np.where((_SLOTS >= 0) & (_SLOTS < _V), 0xFF, 0).astype(np.uint8)
+_INT_KEEP = np.where(_SLOTS < -1, 0xFF, _BELOW).astype(np.uint8).view(np.uint32)
+_NOT_BELOW = (0xFF - _BELOW).view(np.uint32)
+_BELOW = _BELOW.view(np.uint32)
+_ZEROS = np.where((_SLOTS < 0) & (_SLOTS >= _V), ord("0"), 0)[:, :4].astype(
+    np.uint8).view(np.uint32).ravel()
+_POINT = np.frombuffer(b"\0\0\0.", np.uint32)[0]
+
+
+def _format_rows(values: np.ndarray) -> bytes:
+    """The CSV text of a block of curve rows: the bytes
+    `",".join(map(repr, row)) + "\n"` writes for each row.
+
+    The digits and point of each value in [1e-4, 1e16) are computed for
+    the whole block by `_shortest_digits`, and laid out as the 44 bytes
+    above.  A value outside that range (zero, nan and inf among them), a
+    power of two, or a value whose digits that kernel cannot certify is
+    written by repr itself.
+    """
+    x = np.ascontiguousarray(values, dtype=float).ravel()
+    out, slow = _layout(x, values.shape[1])
+    if not slow.any():
+        return out.tobytes().translate(None, b"\0")
+    out.view(np.uint8)[slow, :41] = 0
+    out.view(np.uint8)[slow, 0] = 1  # a marker for repr's text
+    pieces = out.tobytes().translate(None, b"\0").split(b"\1")
+    reprs = [repr(v).encode() for v in x[slow].tolist()]
+    return b"".join(itertools.chain.from_iterable(
+        zip(pieces, reprs + [b""])))
+
+
+def _layout(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 44 bytes of each value in `x`, rows of `width` values, as an
+    (x.size, 11) uint32 array, and a mask of the values that repr must
+    write instead."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16) & (x.view(np.int64) << 12 != 0)
+    # The others are formatted as 1.5 and then overwritten.
+    digits, count, point, sure = _shortest_digits(np.where(fast, a, 1.5))
+    row = point + 3
+    lead, rest = np.divmod(digits * _POW10_INT[17 - count], _POW10_INT[16])
+    high = rest // 10**8
+    low = rest - high * 10**8
+    text = np.empty((x.size, 5), np.uint32)
+    head = text.view(np.uint8)
+    head[:, 0] = (x < 0) * ord("-")
+    head[:, 1] = (point <= 0) * ord("0")
+    head[:, 2] = 0
+    head[:, 3] = lead + ord("0")
+    text[:, 1] = _DIGITS4[high // 10**4]
+    text[:, 2] = _DIGITS4[high % 10**4]
+    text[:, 3] = _DIGITS4[low // 10**4]
+    text[:, 4] = _DIGITS4[low % 10**4]
+    out = np.empty((x.size, 11), np.uint32)
+    np.bitwise_and(text, _INT_KEEP.take(row, axis=0), out=out[:, :5])
+    out[:, 4] |= _POINT
+    np.bitwise_and(text, _NOT_BELOW.take(row, axis=0), out=out[:, 5:10])
+    out[:, 5:10] &= _BELOW.take(count + 3, axis=0)
+    out[:, 5] |= _ZEROS[row]
+    tail = out.view(np.uint8)[:, 40:]
+    tail[:, 0] = (point >= count) * ord("0")
+    tail[:, 1] = ord(",")
+    tail[width - 1::width, 1] = ord("\n")
+    tail[:, 2:] = 0
+    return out, ~(fast & sure)
+
+
+def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray, np.ndarray]:
+    """The digits repr writes for each positive double in `a`, which must
+    lie in [1e-4, 1e16) and not be a power of two: the shortest digits
+    that read back as the value, and the nearest to it among those (Steele
+    and White 1990; Loitsch 2010; Adams 2018).  Returns them as an int64
+    D with no trailing zero, their count, the position of the point (the
+    value is 0.D * 10^point), and a mask of the values whose digits are
+    certain.  A value is uncertain, and its other entries meaningless,
+    where a rounding step is an exact tie or a distance equals the bound.
+
+    y = a * 10^k in [1e16, 1e17) is held exactly as hi + lo by Dekker's
+    product (no FMA, no long double), so D17 = round(y) and r = y - D17
+    are exact (`_scaled`).  Dropping j digits gives D17 = q * 10^j + m;
+    the nearer of q and q + 1 (times 10^j) reads back as the value iff
+    its distance |m' + r| to y, with m' = m or m - 10^j, is below half an
+    ulp of the value times 10^k.  If some j digits can be dropped, so can
+    fewer, so j grows while any value still reads back.
+    """
+    k, d17, r = _scaled(a)
+    sure = np.abs(r) != 0.5
+    bound = np.ldexp(_POW10[k], (a.view(np.int64) >> 52) - 1076)
+    digits = d17.copy()
+    dropped = np.zeros_like(d17)
+    live = np.flatnonzero(sure)
+    for j in range(1, 18):
+        step = _POW10_INT[j]
+        d = d17[live]
+        q = d // step
+        m = d - q * step
+        rl = r[live]
+        up = (2 * m > step) | ((2 * m == step) & (rl > 0))
+        # |m'| above 64 exceeds the bound; the clip keeps the float exact.
+        dist = np.abs(np.clip(m - up * step, -64, 64) + rl)
+        b = bound[live]
+        keep = dist < b
+        tie = (2 * m == step) & (rl == 0)
+        sure[live[(dist == b) | (keep & tie)]] = False
+        live = live[keep]
+        if not live.size:
+            break
+        digits[live] = q[keep] + up[keep]
+        dropped[live] = j
+    count = np.searchsorted(_POW10_INT, digits, side="right")
+    return digits, count, count + dropped - k, sure
+
+
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k, D17 and r with a * 10^k == D17 + r exactly, a * 10^k in
+    [1e16, 1e17), D17 an int64 and |r| <= 1/2 a double."""
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)  # may be one off
+    hi, lo = _times_pow10(a, k)
+    k -= (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    k += (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    hi, lo = _times_pow10(a, k)
+    rounded = np.rint(lo)
+    return k, hi.astype(np.int64) + rounded.astype(np.int64), lo - rounded
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """hi + lo == a * 10^k exactly, hi the rounded product (Dekker 1971)."""
+    hi = a * _POW10[k]
+    a_hi, a_lo = _veltkamp(a)
+    p_hi, p_lo = _SPLIT_HI[k], _SPLIT_LO[k]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi, lo

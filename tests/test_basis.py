@@ -1,6 +1,7 @@
 """Bases, quadrature, smoothing and basis conversion."""
 
 import csv
+import functools
 import math
 import os
 import pathlib
@@ -495,6 +496,55 @@ class TestCurveCSV:
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.integers(2, 6).flatmap(lambda width: st.lists(
+        st.lists(st.floats(), min_size=width, max_size=width),
+        min_size=1, max_size=6)))
+    def test_writer_bytes_match_csv_module_for_any_double(self, tmp_path,
+                                                         rows):
+        # st.floats() draws nan, both infinities, both zeros, subnormals
+        # and the extremes, which repr writes, among other doubles.
+        values = np.array(rows)
+        grid = Grid.uniform(values.shape[1])
+        write_curves_csv(tmp_path / "new.csv", values, grid)
+        csv_module_writer(tmp_path / "old.csv", values, grid)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    def test_writer_bytes_match_repr_across_magnitudes(self):
+        # About 10^5 doubles from 1e-5 to 1e16: log-uniform, in range bit
+        # patterns, decimals of few digits, doubles of at most 24
+        # significant bits (whose exact decimals make rounding ties and
+        # distances equal to the bound, which repr formats), and the 20
+        # doubles each side of every power of ten and of two in range,
+        # where the digit count, the point or the ulp changes and the
+        # shortest digits carry (0.09999999999999999 is the double below
+        # 0.1).
+        rng = np.random.default_rng(20261020)
+        short = rng.integers(1, 1 << 24, 10_000)
+        powers = np.r_[10.0 ** np.arange(-5, 17), 2.0 ** np.arange(-16, 54)]
+        near = [powers]
+        up = down = powers
+        for _ in range(20):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0)
+            near += [up, down]
+        scale = 10.0 ** rng.integers(0, 9, 20_000)
+        values = np.concatenate([
+            np.concatenate(near),
+            10.0 ** rng.uniform(-5, 16, 50_000),
+            ((rng.integers(1007, 1077, 20_000) << 52)
+             | rng.integers(0, 1 << 52, 20_000)).view(float),
+            np.rint(rng.uniform(0, 1e4, 20_000) * scale) / scale,
+            np.ldexp(short, rng.integers(-16, 30, short.size)),
+        ])
+        values *= rng.choice([-1.0, 1.0], values.size)
+        values = values[:values.size // 8 * 8].reshape(-1, 8)
+        assert 0.09999999999999999 in np.abs(values)
+        assert (basis_module._format_rows(values).decode()
+                == "".join(",".join(map(repr, row)) + "\n"
+                           for row in values.tolist()))
+
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_writer_bytes_match_csv_module_in_blocks(self, tmp_path, cpus,
                                                      monkeypatch, count):
@@ -534,20 +584,22 @@ def split_csv(cpus, monkeypatch, rows=30):
     return np.random.default_rng(rows).normal(size=(rows, 4)), grid
 
 
-def hook_repr(monkeypatch, in_workers, in_caller=None):
-    """Make write_curves_csv call `in_workers(x)` in every process but the
-    calling one (and `in_caller(x)` in the calling one) before it formats
-    the value x."""
+def hook_blocks(monkeypatch, in_workers, in_caller=None):
+    """Make write_curves_csv call `in_workers(rows)` in every process but
+    the calling one (and `in_caller(rows)` in the calling one) before it
+    formats the block `rows`."""
     caller = os.getpid()
+    format_rows = basis_module._format_rows
 
-    def hooked(x):
+    @functools.wraps(format_rows)  # so that it pickles by the same name
+    def hooked(rows):
         if os.getpid() != caller:
-            in_workers(x)
+            in_workers(rows)
         elif in_caller is not None:
-            in_caller(x)
-        return repr(x)
+            in_caller(rows)
+        return format_rows(rows)
 
-    monkeypatch.setattr(basis_module, "repr", hooked, raising=False)
+    monkeypatch.setattr(basis_module, "_format_rows", hooked)
 
 
 def assert_written_as_one_process(tmp_path, values, grid, workers_left):
@@ -573,12 +625,12 @@ class TestCurveCSVWorkers:
         values, grid = split_csv(cpus, monkeypatch)
         seen = []  # each worker counts in its own copy
 
-        def kill_mid_block(x):
-            seen.append(x)
-            if len(seen) == 20:
+        def kill_mid_run(rows):
+            seen.append(rows)
+            if len(seen) == 5:  # of the worker's 10 blocks
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        hook_repr(monkeypatch, kill_mid_block)
+        hook_blocks(monkeypatch, kill_mid_run)
         assert_written_as_one_process(tmp_path, values, grid, workers_left=0)
 
     @pytest.mark.parametrize("failing", [1, 2])
@@ -619,7 +671,7 @@ class TestCurveCSVWorkers:
             busy.extend(pool_pids())
             raise Stop
 
-        hook_repr(monkeypatch, sleep_once, in_caller=stop)
+        hook_blocks(monkeypatch, sleep_once, in_caller=stop)
         start = time.monotonic()
         with pytest.raises(Stop):
             write_curves_csv(path, values, grid)
@@ -656,6 +708,25 @@ class TestCurveCSVWorkers:
                                    [None] * 3) == [2, 1, 1]
         finally:
             set_(before)
+
+    def test_worker_forked_by_a_write_inherits_the_blas_lookup(
+            self, tmp_path, cpus, monkeypatch):
+        # The lookup globs numpy.libs; each process logs its globs to one
+        # file, so a worker that repeated the lookup would show there.
+        values, grid = split_csv(cpus, monkeypatch)
+        log = tmp_path / "globs.txt"
+        glob = _workers.glob.glob
+
+        def logged(pattern):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return glob(pattern)
+
+        monkeypatch.setattr(_workers.glob, "glob", logged)
+        _workers.openblas_threads.cache_clear()
+        write_curves_csv(tmp_path / "curves.csv", values, grid)
+        assert len(pool_pids()) == 2
+        assert log.read_text() == f"{os.getpid()}\n"
 
 
 def curve_text(values, points, *, eol="\n", bom=False, final_eol=True,
