@@ -32,7 +32,7 @@ _MEMO_SIZE = 64
 # (`_format_rows`), about what a read's parse costs, so a read splits
 # from the same size.  Measured on a 2-core x86-64 VM with the worker
 # pooled (30 alternating writes of 96-point curves a size), a split write
-# gained 11-17 ms at 700-1000 curves in one session, and lost 1-2.5 ms at
+# gained 11-17 ms at 700-1000 curves in one series, and lost 1-2.5 ms at
 # every size from 224 to 1000 in another, when the woken worker ran on
 # the caller's CPU; the odd block counts of 400 and 600 curves cost no
 # more than the even ones.  The `cli_pipeline` benchmark (4 alternating
