@@ -23,7 +23,8 @@ import numpy as np
 from . import _workers
 
 
-# Conversion matrices kept by change_basis's per-process memo.
+# Entries kept by each of this module's per-process memos (conversion
+# matrices, designs, rank checks and smoothers).
 _MEMO_SIZE = 64
 
 # Least values per block of a written curve CSV.  `_workers.spread`
@@ -225,7 +226,7 @@ class FunctionalSample:
 
     def evaluate(self, grid: Grid) -> np.ndarray:
         """Values matrix of shape (n, len(grid))."""
-        return self.coeffs @ self.basis.evaluate(grid.points).T
+        return self.coeffs @ _design(grid.points.tobytes(), self.basis).T
 
     @functools.cached_property
     def centered(self) -> np.ndarray:
@@ -255,15 +256,47 @@ def _fit_matrix(values: np.ndarray, grid: Grid, basis: Basis) -> np.ndarray:
 
 
 def _fit_design(grid: Grid, basis: Basis) -> np.ndarray:
-    """The design matrix on `grid`; SingularFitError below full column rank."""
-    if len(grid) < basis.size:
-        raise SingularFitError(
-            f"cannot fit basis of size {basis.size} from {len(grid)} grid points")
-    design = basis.evaluate(grid.points)
+    """The design matrix on `grid`, read-only; SingularFitError below full
+    column rank.  The matrix and its rank check are memoised per process
+    on the grid's point bytes and the basis, as `_design`."""
+    return _checked_design(grid.points.tobytes(), basis)
+
+
+def _fit_smoother(grid: Grid, basis: Basis) -> np.ndarray:
+    """The pseudo-inverse of `_fit_design(grid, basis)`, read-only and
+    memoised in the same way."""
+    return _pinv(grid.points.tobytes(), basis)
+
+
+# The memos below are keyed on a grid's float64 point bytes, so that two
+# grids share an entry only when every point is the same double; the last
+# _MEMO_SIZE keys of each are kept.  A call that raises raises every time.
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _design(points: bytes, basis: Basis) -> np.ndarray:
+    """`basis.evaluate` at the points whose float64 bytes are `points`,
+    read-only."""
+    design = basis.evaluate(np.frombuffer(points))
+    design.setflags(write=False)
+    return design
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _checked_design(points: bytes, basis: Basis) -> np.ndarray:
+    if len(points) // 8 < basis.size:
+        raise SingularFitError(f"cannot fit basis of size {basis.size} "
+                               f"from {len(points) // 8} grid points")
+    design = _design(points, basis)
     if (rank := np.linalg.matrix_rank(design)) < basis.size:
         raise SingularFitError(
             f"design matrix rank {rank} < basis size {basis.size}")
     return design
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _pinv(points: bytes, basis: Basis) -> np.ndarray:
+    smoother = np.linalg.pinv(_checked_design(points, basis))
+    smoother.setflags(write=False)
+    return smoother
 
 
 def fit_sample(values: np.ndarray, grid: Grid, basis: Basis) -> FunctionalSample:

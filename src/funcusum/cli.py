@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import sys
 import time
@@ -323,7 +324,10 @@ def cmd_tables(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `funcusum` argument parser, built once per process: parsing
+    leaves it as it was, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="funcusum",
         description="Change-point test for functional time series "

@@ -7,6 +7,7 @@ into a B-spline working basis at every step.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -14,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import (FunctionalSample, Grid, _fit_design, bspline_basis,
-                    fit_sample)
+from .basis import (FunctionalSample, Grid, _fit_design, _fit_smoother,
+                    bspline_basis, fit_sample)
 
 _CHANGE_SHAPES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sin": np.sin,
@@ -69,20 +70,48 @@ def calibrate_kernel(kind: str, psi: float) -> IntegralKernel:
                           scale=psi / math.sqrt(_base_sq_norm(kind)))
 
 
-@functools.cache
+# Squared L^2([0,1]^2) norms of the base kernels: the trapezoidal sums
+# w @ psi_base(t_i, t_j)^2 @ w on a 1001-point grid, recorded bit for bit.
+_BASE_SQ_NORMS = {
+    "gaussian": float.fromhex("0x1.11d644bb29d5dp+1"),
+    "wiener": float.fromhex("0x1.55556084a515dp-3"),
+}
+
+# glibc's mallopt parameters, and the bytes of a 1001 x 1001 float64
+# matrix: the quadrature that computed the norms above allocated one.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 1001 * 1001 * 8
+
+
 def _base_sq_norm(kind: str) -> float:
-    """Squared L^2([0,1]^2) norm of a base kernel.  It depends on the kind
-    alone, so it is computed once per kind and process."""
-    g = Grid.uniform(1001)
-    w = g.trapezoid_weights
-    # One 8 MB matrix, squared in place.  Keep this quadrature rather than
-    # the kernels' closed-form norms: freeing this matrix is what raises
-    # glibc's dynamic mmap threshold above a chunk's 0.3-1.9 MB
-    # temporaries, so that they come from the heap.  Without it a serial
-    # n = 500, R = 96 cell at d = 1, with OpenBLAS pinned to one thread,
-    # took 8208-8213 minor faults instead of 0-1.
-    vals = _BASE_KERNELS[kind](g.points[:, None], g.points[None, :])
-    return float(w @ np.square(vals, out=vals) @ w)
+    """Squared L^2([0,1]^2) norm of a base kernel.  The first call also
+    sets the allocator policy of `_heap_policy`."""
+    _heap_policy()
+    return _BASE_SQ_NORMS[kind]
+
+
+@functools.cache
+def _heap_policy() -> None:
+    """Serve allocations under _MMAP_THRESHOLD bytes from glibc's heap, and
+    return its free top to the system only beyond twice that.
+
+    A Monte Carlo chunk allocates and frees temporaries of 0.3-1.9 MB.
+    Above glibc's default 128 kB threshold each would be a fresh mapping:
+    a serial n = 500, R = 96 cell at d = 1, with OpenBLAS pinned to one
+    thread, took 8208-8213 minor faults instead of 0-1.  These are the
+    thresholds that freeing the quadrature's matrix used to leave behind
+    (glibc raises them itself when a mapped block is freed).  Where the C
+    library has no mallopt, nothing is set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
 def _bridges(grid: Grid, rng: np.random.Generator, out: np.ndarray,
@@ -257,7 +286,7 @@ class Far1Simulator:
         self.grid = Grid.uniform(spec.grid_points)
         self.basis = bspline_basis(spec.basis_size, spec.basis_order)
         design = _fit_design(self.grid, self.basis)
-        self._smoother = np.linalg.pinv(design)
+        self._smoother = _fit_smoother(self.grid, self.basis)
         k_mat = spec.kernel.values(self.grid.points, self.grid.points)
         quad = k_mat * self.grid.trapezoid_weights[None, :]
         self._step = self._smoother @ quad @ design

@@ -26,7 +26,9 @@ from funcusum.basis import (
     _bspline_design,
     _bspline_knots,
     _conversion_matrix,
+    _fit_design,
     _fit_matrix,
+    _fit_smoother,
     bspline_basis,
     change_basis,
     fit_sample,
@@ -326,6 +328,42 @@ class TestFitCurve:
         assert np.array_equal(c, [[-1.0, -1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="read-only"):
             c[0, 0] = 0.0
+
+
+class TestDesignMemo:
+    @pytest.mark.parametrize("points", [
+        np.linspace(0.0, 1.0, 96),
+        np.r_[0.0, np.sort(np.random.default_rng(7).uniform(size=40)), 1.0],
+    ], ids=["uniform", "irregular"])
+    def test_memoised_design_and_smoother_are_fresh_and_read_only(
+            self, points):
+        basis = bspline_basis(25)
+        design = _fit_design(Grid(points), basis)
+        smoother = _fit_smoother(Grid(points), basis)
+        fresh = basis.evaluate(points)
+        assert design.tobytes() == fresh.tobytes()
+        assert smoother.tobytes() == np.linalg.pinv(fresh).tobytes()
+        # Another grid object with the same points shares the entries.
+        assert _fit_design(Grid(points.copy()), basis) is design
+        assert _fit_smoother(Grid(points.copy()), basis) is smoother
+        for memo in (design, smoother):
+            with pytest.raises(ValueError, match="read-only"):
+                memo[0, 0] = 1.0
+        coeffs = np.random.default_rng(8).normal(size=(3, 25))
+        values = FunctionalSample(coeffs, basis).evaluate(Grid(points))
+        assert values.tobytes() == (coeffs @ fresh.T).tobytes()
+
+    @pytest.mark.parametrize("points,match", [
+        (np.linspace(0.0, 1.0, 10), "from 10 grid points"),
+        (np.r_[np.linspace(0.0, 0.1, 29), 1.0], "design matrix rank"),
+    ], ids=["fewer-points", "rank-deficient"])
+    def test_coarse_grid_raises_on_every_call(self, points, match):
+        grid = Grid(points)
+        for _ in range(2):
+            with pytest.raises(SingularFitError, match=match):
+                fit_sample(np.zeros((1, len(grid))), grid, bspline_basis(25))
+            with pytest.raises(SingularFitError, match=match):
+                _fit_smoother(grid, bspline_basis(25))
 
 
 class TestChangeBasis:

@@ -335,6 +335,28 @@ class TestCmdSimulate:
         assert data.grid.points.tobytes() == sim.grid.points.tobytes()
         assert data.rescaled is False
 
+    def test_repeated_calls_in_one_process_write_the_same_bytes(
+            self, tmp_path, capsys):
+        # The second round runs on the memoised parser, design and smoother.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG.replace("n = 10", "n = 40")
+                       + "change_shape = sin\n")
+        outputs = []
+        for round_ in range(2):
+            out, report = tmp_path / f"{round_}.csv", tmp_path / f"{round_}.json"
+            assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+            assert main(["test", str(out), "--d", "1", "--h", "1",
+                         "--basis-smooth", "8:4", "--out", str(report)]) == 0
+            outputs.append((out.read_bytes(), json.dumps(
+                json.loads(report.read_text())["result"], sort_keys=True)))
+            if round_ == 0:
+                with pytest.raises(SystemExit) as exc:
+                    main(["test", str(out), "--d", "two"])
+                assert exc.value.code == 2
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("seed", ["-3", "1, -2"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, seed):
         cfg = tmp_path / "sim.cfg"

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from funcusum.basis import (FunctionalSample, _conversion_matrix, bspline_basis,
+from funcusum.basis import (FunctionalSample, _checked_design,
+                            _conversion_matrix, _design, _pinv, bspline_basis,
                             fourier_basis)
+from funcusum.cli import build_parser
 from funcusum.cusum import (
     ApproximationFailureError,
     _fully_functional_max,
@@ -30,7 +32,7 @@ from funcusum.cusum import TestConfig as Config
 from funcusum.cusum import TestResult as Result
 from funcusum.harness import ExperimentGrid, run_cell
 from funcusum.lrcov import _KERNELS, lrcov_estimate
-from funcusum.simulate import (Far1Simulator, SimSpec, _base_sq_norm,
+from funcusum.simulate import (Far1Simulator, SimSpec, _heap_policy,
                                calibrate_kernel, make_change)
 
 
@@ -381,7 +383,8 @@ class TestMemo:
                               seed=5)
         coords = grid.cells()[0]
         frozen = lambda: 0.0
-        for memo in (_conversion_matrix, _base_sq_norm):
+        for memo in (_conversion_matrix, _design, _checked_design, _pinv,
+                     _heap_policy, build_parser):
             memo.cache_clear()
         cold = run_cell(coords, grid, timer=frozen)
         warm = run_cell(coords, grid, timer=frozen)

@@ -20,12 +20,26 @@ from funcusum.simulate import (
     Far1Simulator,
     IntegralKernel,
     SimSpec,
+    _base_sq_norm,
     _bridges,
     calibrate_kernel,
     make_change,
 )
 
 from conftest import dense_gram
+
+
+def trapezoid_sq_norm(kind):
+    """The squared L2([0,1]^2) norm of a base kernel by the trapezoidal
+    rule on 1001 points, as the recorded norms were computed."""
+    t = np.linspace(0.0, 1.0, 1001)
+    w = np.zeros(1001)
+    w[:-1] += np.diff(t) / 2.0
+    w[1:] += np.diff(t) / 2.0
+    tt, ss = t[:, None], t[None, :]
+    base = (np.minimum(tt, ss) if kind == "wiener"
+            else np.exp((tt ** 2 + ss ** 2) / 2.0))
+    return float(w @ (base ** 2) @ w)
 
 
 def ar_step(kernel, basis_size):
@@ -120,26 +134,26 @@ class TestCalibrateKernel:
 
     @pytest.mark.parametrize("kind", ["wiener", "gaussian"])
     def test_scale_is_the_1001_point_trapezoid_norm_bitwise(self, kind):
-        t = np.linspace(0.0, 1.0, 1001)
-        w = np.zeros(1001)
-        w[:-1] += np.diff(t) / 2.0
-        w[1:] += np.diff(t) / 2.0
-        tt, ss = t[:, None], t[None, :]
-        base = (np.minimum(tt, ss) if kind == "wiener"
-                else np.exp((tt ** 2 + ss ** 2) / 2.0))
-        sq_norm = float(w @ (base ** 2) @ w)
+        sq_norm = trapezoid_sq_norm(kind)
         for psi in (0.0, 0.1, 0.4, 0.8, 0.999):
             assert calibrate_kernel(kind, psi).scale == psi / math.sqrt(sq_norm)
+
+    @pytest.mark.parametrize("kind", ["wiener", "gaussian"])
+    def test_recorded_norm_is_the_1001_point_trapezoid(self, kind):
+        # Within 2 ulps, for a BLAS that sums the matrix products in
+        # another order; they are equal where the constants were recorded.
+        sq_norm = trapezoid_sq_norm(kind)
+        assert abs(_base_sq_norm(kind) - sq_norm) <= 2 * math.ulp(sq_norm)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="glibc's dynamic mmap threshold")
     def test_serial_cell_takes_no_page_faults_once_warm(self):
-        # Freeing the 1001-point quadrature matrix raises glibc's mmap
-        # threshold above a chunk's temporaries, so a warm cell reuses the
-        # heap.  With the norms returned as constants, the second cell
-        # below took about 8200 minor faults; it takes 0-1.  At d = 2 both
-        # read under 50, so the cell is at d = 1.  OpenBLAS is pinned to one
-        # thread, as in the runs that measured these counts.
+        # The first kernel calibration sets glibc's mmap threshold above a
+        # chunk's temporaries (simulate._heap_policy), so a warm cell reuses
+        # the heap.  Without that threshold the second cell below took
+        # about 8200 minor faults; it takes 0-2.  At d = 2 both read under
+        # 50, so the cell is at d = 1.  OpenBLAS is pinned to one thread,
+        # as in the runs that measured these counts.
         script = (
             "import resource\n"
             "from funcusum import _workers\n"
