@@ -69,9 +69,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Strictly increasing abscissae spanning [0,1] endpoint to endpoint."""
+    """Strictly increasing abscissae spanning [0,1] endpoint to endpoint.
+    Grids are equal, and hash alike, when every point is the same double."""
 
     points: np.ndarray
 
@@ -84,6 +85,14 @@ class Grid:
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValueError("grid must start at 0.0 and end at 1.0")
         object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return self.points.tobytes() == other.points.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.points.tobytes())
 
     @classmethod
     def uniform(cls, num_points: int) -> "Grid":
@@ -200,7 +209,7 @@ def bspline_basis(size: int, order: int = 4) -> Basis:
     return Basis(kind="bspline", size=size, order=order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalSample:
     """An ordered sample of n curves sharing one basis.
 
@@ -226,7 +235,7 @@ class FunctionalSample:
 
     def evaluate(self, grid: Grid) -> np.ndarray:
         """Values matrix of shape (n, len(grid))."""
-        return self.coeffs @ _design(grid.points.tobytes(), self.basis).T
+        return self.coeffs @ _design(grid, self.basis).T
 
     @functools.cached_property
     def centered(self) -> np.ndarray:
@@ -255,37 +264,24 @@ def _fit_matrix(values: np.ndarray, grid: Grid, basis: Basis) -> np.ndarray:
                            rcond=None)[0].T
 
 
-def _fit_design(grid: Grid, basis: Basis) -> np.ndarray:
-    """The design matrix on `grid`, read-only; SingularFitError below full
-    column rank.  The matrix and its rank check are memoised per process
-    on the grid's point bytes and the basis, as `_design`."""
-    return _checked_design(grid.points.tobytes(), basis)
-
-
-def _fit_smoother(grid: Grid, basis: Basis) -> np.ndarray:
-    """The pseudo-inverse of `_fit_design(grid, basis)`, read-only and
-    memoised in the same way."""
-    return _pinv(grid.points.tobytes(), basis)
-
-
-# The memos below are keyed on a grid's float64 point bytes, so that two
-# grids share an entry only when every point is the same double; the last
-# _MEMO_SIZE keys of each are kept.  A call that raises raises every time.
+# Per-process memos on (grid, basis), so two grids share an entry exactly
+# when they are equal; the last _MEMO_SIZE keys of each are kept.  A call
+# that raises raises every time.
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _design(points: bytes, basis: Basis) -> np.ndarray:
-    """`basis.evaluate` at the points whose float64 bytes are `points`,
-    read-only."""
-    design = basis.evaluate(np.frombuffer(points))
+def _design(grid: Grid, basis: Basis) -> np.ndarray:
+    """`basis.evaluate(grid.points)`, read-only."""
+    design = basis.evaluate(grid.points)
     design.setflags(write=False)
     return design
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _checked_design(points: bytes, basis: Basis) -> np.ndarray:
-    if len(points) // 8 < basis.size:
+def _fit_design(grid: Grid, basis: Basis) -> np.ndarray:
+    """`_design(grid, basis)`; SingularFitError below full column rank."""
+    if len(grid) < basis.size:
         raise SingularFitError(f"cannot fit basis of size {basis.size} "
-                               f"from {len(points) // 8} grid points")
-    design = _design(points, basis)
+                               f"from {len(grid)} grid points")
+    design = _design(grid, basis)
     if (rank := np.linalg.matrix_rank(design)) < basis.size:
         raise SingularFitError(
             f"design matrix rank {rank} < basis size {basis.size}")
@@ -293,8 +289,9 @@ def _checked_design(points: bytes, basis: Basis) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _pinv(points: bytes, basis: Basis) -> np.ndarray:
-    smoother = np.linalg.pinv(_checked_design(points, basis))
+def _fit_smoother(grid: Grid, basis: Basis) -> np.ndarray:
+    """The pseudo-inverse of `_fit_design(grid, basis)`, read-only."""
+    smoother = np.linalg.pinv(_fit_design(grid, basis))
     smoother.setflags(write=False)
     return smoother
 

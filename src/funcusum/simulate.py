@@ -66,8 +66,9 @@ def calibrate_kernel(kind: str, psi: float) -> IntegralKernel:
         raise ValueError(f"need 0 <= psi < 1, got {psi}")
     if kind not in _BASE_KERNELS:
         raise ValueError(f"unknown kernel kind {kind!r}")
+    _heap_policy()
     return IntegralKernel(kind=kind, psi=psi,
-                          scale=psi / math.sqrt(_base_sq_norm(kind)))
+                          scale=psi / math.sqrt(_BASE_SQ_NORMS[kind]))
 
 
 # Squared L^2([0,1]^2) norms of the base kernels: the trapezoidal sums
@@ -82,13 +83,6 @@ _BASE_SQ_NORMS = {
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 1001 * 1001 * 8
-
-
-def _base_sq_norm(kind: str) -> float:
-    """Squared L^2([0,1]^2) norm of a base kernel.  The first call also
-    sets the allocator policy of `_heap_policy`."""
-    _heap_policy()
-    return _BASE_SQ_NORMS[kind]
 
 
 @functools.cache

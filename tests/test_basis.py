@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
@@ -36,6 +36,8 @@ from funcusum.basis import (
     read_curves_csv,
     write_curves_csv,
 )
+from funcusum.cli import main
+from funcusum.simulate import Far1Simulator, SimSpec
 
 from conftest import (Stop, assert_gone, assert_no_child, count_forks,
                       dense_gram, pool_pids)
@@ -141,6 +143,21 @@ class TestGrid:
         assert g.trapezoid_weights @ f == pytest.approx(
             np.trapezoid(f, g.points), abs=1e-15)
         assert g.trapezoid_weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_compares_and_hashes_by_its_points(self):
+        assert Grid.uniform(5) == Grid.uniform(5)
+        assert hash(Grid.uniform(5)) == hash(Grid.uniform(5))
+        assert Grid.uniform(5) != Grid.uniform(6)
+        # Equal points but another double: -0.0 == 0.0 is true.
+        assert Grid(np.array([-0.0, 1.0])) != Grid(np.array([0.0, 1.0]))
+
+
+def strictly_increasing_points():
+    """Arrays 0, interior points in increasing order, 1."""
+    interior = st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                  exclude_max=True),
+                        min_size=1, max_size=30, unique=True)
+    return interior.map(lambda xs: np.r_[0.0, sorted(xs), 1.0])
 
 
 class TestFourierBasis:
@@ -320,6 +337,12 @@ class TestFitCurve:
         for i in range(5):
             assert np.allclose(s.coeffs[i], fit_one(values[i], g, b))
 
+    def test_samples_compare_by_identity(self):
+        coeffs = np.ones((2, 3))
+        s = FunctionalSample(coeffs, fourier_basis(3))
+        assert s == s and s != FunctionalSample(coeffs, fourier_basis(3))
+        assert {s: 1}[s] == 1
+
     def test_centered_computed_once_and_read_only(self):
         b = fourier_basis(2)
         s = FunctionalSample(np.array([[1.0, 0.0], [3.0, 2.0]]), b)
@@ -352,6 +375,40 @@ class TestDesignMemo:
         coeffs = np.random.default_rng(8).normal(size=(3, 25))
         values = FunctionalSample(coeffs, basis).evaluate(Grid(points))
         assert values.tobytes() == (coeffs @ fresh.T).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=strictly_increasing_points(), data=st.data())
+    def test_grids_share_an_entry_exactly_when_every_point_is_equal(
+            self, points, data):
+        _fit_design.cache_clear()
+        basis = bspline_basis(2, order=2)
+        grid = Grid(points)
+        assert grid == Grid(points.copy())
+        assert hash(grid) == hash(Grid(points.copy()))
+        design = _fit_design(grid, basis)
+        assert _fit_design(Grid(points.copy()), basis) is design
+        # One interior point one ulp up or down, the grid still increasing.
+        i = data.draw(st.integers(1, len(points) - 2))
+        moved = points.copy()
+        moved[i] = np.nextafter(points[i], data.draw(st.sampled_from([0, 1])))
+        assume(moved[i - 1] < moved[i] < moved[i + 1])
+        other = Grid(moved)
+        assert other != grid
+        misses = _fit_design.cache_info().misses
+        assert _fit_design(other, basis) is not design
+        assert _fit_design.cache_info().misses == misses + 1
+
+    def test_read_grid_shares_the_simulators_entry(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 10\nkernel = wiener\npsi = 0.4\nburn_in = 2\n")
+        out = tmp_path / "curves.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        sim = Far1Simulator(SimSpec.from_config(cfg.read_text()))
+        grid = read_curves_csv(out).grid
+        assert grid is not sim.grid
+        assert _fit_design(grid, sim.basis) is _fit_design(sim.grid,
+                                                           sim.basis)
 
     @pytest.mark.parametrize("points,match", [
         (np.linspace(0.0, 1.0, 10), "from 10 grid points"),

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from funcusum.basis import (FunctionalSample, _checked_design,
-                            _conversion_matrix, _design, _pinv, bspline_basis,
+from funcusum.basis import (FunctionalSample, _conversion_matrix, _design,
+                            _fit_design, _fit_smoother, bspline_basis,
                             fourier_basis)
 from funcusum.cli import build_parser
 from funcusum.cusum import (
@@ -383,7 +383,7 @@ class TestMemo:
                               seed=5)
         coords = grid.cells()[0]
         frozen = lambda: 0.0
-        for memo in (_conversion_matrix, _design, _checked_design, _pinv,
+        for memo in (_conversion_matrix, _design, _fit_design, _fit_smoother,
                      _heap_policy, build_parser):
             memo.cache_clear()
         cold = run_cell(coords, grid, timer=frozen)

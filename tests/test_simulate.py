@@ -20,7 +20,7 @@ from funcusum.simulate import (
     Far1Simulator,
     IntegralKernel,
     SimSpec,
-    _base_sq_norm,
+    _BASE_SQ_NORMS,
     _bridges,
     calibrate_kernel,
     make_change,
@@ -143,13 +143,13 @@ class TestCalibrateKernel:
         # Within 2 ulps, for a BLAS that sums the matrix products in
         # another order; they are equal where the constants were recorded.
         sq_norm = trapezoid_sq_norm(kind)
-        assert abs(_base_sq_norm(kind) - sq_norm) <= 2 * math.ulp(sq_norm)
+        assert abs(_BASE_SQ_NORMS[kind] - sq_norm) <= 2 * math.ulp(sq_norm)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="glibc's dynamic mmap threshold")
     def test_serial_cell_takes_no_page_faults_once_warm(self):
-        # The first kernel calibration sets glibc's mmap threshold above a
-        # chunk's temporaries (simulate._heap_policy), so a warm cell reuses
+        # calibrate_kernel calls simulate._heap_policy, which sets glibc's
+        # mmap threshold above a chunk's temporaries, so a warm cell reuses
         # the heap.  Without that threshold the second cell below took
         # about 8200 minor faults; it takes 0-2.  At d = 2 both read under
         # 50, so the cell is at d = 1.  OpenBLAS is pinned to one thread,
