@@ -13,7 +13,6 @@ import functools
 import io
 import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -343,27 +342,29 @@ def read_curves_csv(path: str) -> CurveMatrix:
     Abscissae are min-max rescaled onto [0,1] when they do not already run
     from 0 to 1; `rescaled` records whether that happened.
 
-    A body of plain comma-separated finite numbers is parsed by np.loadtxt
-    in row-aligned byte ranges: one per process when it holds two blocks
-    of _CSV_BLOCK values or more, but only over the workers already
-    pooled, so a read forks none.  The calling process parses the first
-    range, and a pooled worker each other one, which opens the file
-    itself and pickles its rows back.  The values do not depend on the
-    split.  Anything else in any range (quoted cells, blank cells, ragged
-    rows, nan or inf, a token loadtxt cannot parse, bytes that are not
-    UTF-8), or a file that is no longer the one opened here, sends the
-    whole body to the csv parser, which accepts every cell float()
+    The file is opened once and read whole.  A body of plain
+    comma-separated finite numbers is parsed by np.loadtxt in row-aligned
+    slices of those bytes: one per process when it holds two blocks of
+    _CSV_BLOCK values or more, but only over the workers already pooled,
+    so a read forks none.  The calling process parses the first slice, and
+    a pooled worker each other one, which gets its slice and pickles its
+    rows back.  The values do not depend on the split.  Anything else in
+    any slice (quoted cells, blank cells, ragged rows, nan or inf, a token
+    loadtxt cannot parse, bytes that are not UTF-8), or a header that is
+    not one physical line, sends the whole body to the csv parser, which
+    reads the same bytes on from the header, accepts every cell float()
     accepts and names the line and column of the first bad one.  A
-    non-seekable input, or a header that is not one physical line, goes
-    to the csv parser straight away.  A leading UTF-8 byte-order mark, as
-    spreadsheet programs write, is skipped.
+    leading UTF-8 byte-order mark, as spreadsheet programs write, is
+    skipped.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CurveCSVError("line 1: empty file") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data),
+                                         encoding="utf-8-sig", newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CurveCSVError("line 1: empty file")
         raw_pts = []
         for j, cell in enumerate(header):
             cell = cell.strip()
@@ -388,11 +389,8 @@ def read_curves_csv(path: str) -> CurveMatrix:
             pts = (pts - pts[0]) / (pts[-1] - pts[0])
             pts[-1] = 1.0
             rescaled = True
-        # A pipe cannot be read twice.  fh itself is read no further, so
-        # the csv parser below reads the file as it would alone (a decode
-        # error names the same position).
-        if fh.seekable() and reader.line_num == 1:
-            values = _parsed_body(path, pts.size, _identity(fh.fileno()))
+        if reader.line_num == 1:
+            values = _parsed_body(data, pts.size)
             if values is not None:
                 return CurveMatrix(values, Grid(pts), rescaled)
         rows = []
@@ -411,6 +409,8 @@ def read_curves_csv(path: str) -> CurveMatrix:
                     f"line {lineno}: non-numeric value in row, column "
                     f"{j + 1}: {row[j]!r}") from None
             linenos.append(lineno)
+    except UnicodeDecodeError:
+        raise _not_utf8(data) from None
     if not rows:
         raise CurveCSVError("line 2: no curve rows found")
     values = np.asarray(rows, dtype=float)
@@ -418,70 +418,59 @@ def read_curves_csv(path: str) -> CurveMatrix:
     return CurveMatrix(values, Grid(pts), rescaled)
 
 
-def _parsed_body(path: str, width: int, identity: tuple,
-                 ) -> np.ndarray | None:
-    """The rows after the header of the CSV at `path`, parsed by
-    `_parse_range` over row-aligned byte ranges spread over the calling
-    process and the pooled workers, or None when a range is rejected, the
-    body holds no row, the file is not the one whose `_identity` is
-    `identity`, or its first line holds a CR before its end (the csv
+def _not_utf8(data: bytes) -> CurveCSVError:
+    """The error naming the line, column and value of the first byte of
+    `data` that is not UTF-8.  The reader decodes in chunks, so the
+    position its error gives is found again over the whole of `data`."""
+    try:
+        data.decode("utf-8")  # a leading byte-order mark decodes too
+    except UnicodeDecodeError as exc:
+        at = exc.start
+    line = data.count(b"\n", 0, at) + 1
+    column = data.count(b",", data.rfind(b"\n", 0, at) + 1, at) + 1
+    return CurveCSVError(
+        f"line {line}: byte 0x{data[at]:02x} in column {column} is not UTF-8")
+
+
+def _parsed_body(data: bytes, width: int) -> np.ndarray | None:
+    """The rows after the header line of the curve CSV `data`, parsed by
+    `_parse_range` over row-aligned slices spread over the calling process
+    and the pooled workers, or None when a slice is rejected, the body
+    holds no row, or the first line holds a CR before its end (the csv
     parser's header then ended there).  The row count that sets the split
     is estimated from the length of the first body line that is not
     blank."""
-    path = os.path.abspath(path)  # pooled workers keep their own cwd
-    with open(path, "rb") as fh:
-        if _identity(fh.fileno()) != identity:
-            return None
-        header = fh.readline()
-        if b"\r" in header[:-2]:
-            return None
-        start = fh.tell()
-        while (line := fh.readline()) and not line.strip():
-            pass
-        end = fh.seek(0, os.SEEK_END)
-        if not line:
-            return None
-        rows = (end - start) // len(line)
-        count = max(1, min(rows, rows * width // _CSV_BLOCK,
-                           _workers.warm_width()))
-        cuts = [start]
-        for k in range(1, count):
-            # The first line that starts at or after the k-th nominal cut.
-            fh.seek(start + k * (end - start) // count - 1)
-            fh.readline()
-            cuts.append(fh.tell())
-    cuts.append(end)
+    start = data.find(b"\n") + 1
+    if not start or b"\r" in data[:start][:-2]:
+        return None
+    end = len(data)
+    line = start
+    while line < end:
+        stop = data.find(b"\n", line) + 1 or end
+        if data[line:stop].strip():
+            break
+        line = stop
+    else:
+        return None
+    rows = (end - start) // (stop - line)
+    count = max(1, min(rows, rows * width // _CSV_BLOCK,
+                       _workers.warm_width()))
+    # Each cut is the first line that starts at or after its nominal one.
+    cuts = [start] + [
+        data.find(b"\n", start + k * (end - start) // count - 1) + 1 or end
+        for k in range(1, count)] + [end]
     parts = _workers.spread(_parse_range, [
-        (a, b) for a, b in zip(cuts, cuts[1:]) if a < b], path, width,
-        identity)
+        data[a:b] for a, b in zip(cuts, cuts[1:]) if a < b], width)
     if any(part is None for part in parts):
         return None
     values = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return values if len(values) else None
 
 
-def _parse_range(span: tuple[int, int], path: str, width: int,
-                 identity: tuple) -> np.ndarray | None:
-    """The rows in bytes span[0]:span[1] of the file at `path`, or None
-    when it cannot be read or is no longer the file whose `_identity` is
-    `identity`, or `_loadtxt_body` rejects them.  It returns None rather
-    than raise, since a worker that raises dies."""
-    try:
-        with open(path, "rb") as fh:
-            if _identity(fh.fileno()) != identity:
-                return None
-            fh.seek(span[0])
-            text = fh.read(span[1] - span[0])
-    except OSError:
-        return None
+def _parse_range(text: bytes, width: int) -> np.ndarray | None:
+    """`_loadtxt_body` of the rows in `text`; module-level, so that a
+    pooled worker can look it up."""
     return _loadtxt_body(io.BytesIO(text), width)
-
-
-def _identity(fd: int) -> tuple[int, int, int, int]:
-    """What tells the file open at `fd` from one renamed over it or
-    rewritten: its device, inode, size and modification time."""
-    st = os.fstat(fd)
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _loadtxt_body(fh, width: int) -> np.ndarray | None:

@@ -8,6 +8,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -855,9 +856,7 @@ def read_at(path, cpus):
 def parsed_body(path, width):
     """basis._parsed_body of the file at `path`, as read_curves_csv calls
     it."""
-    with open(path, "rb") as fh:
-        return basis_module._parsed_body(
-            path, width, basis_module._identity(fh.fileno()))
+    return basis_module._parsed_body(pathlib.Path(path).read_bytes(), width)
 
 
 def count_ranges(monkeypatch):
@@ -1006,11 +1005,10 @@ class TestCurveCSVRead:
 
     def test_a_file_replaced_during_the_read_is_read_as_first_opened(
             self, tmp_path, cpus, monkeypatch):
-        # The workers die once they have read their ranges, and the caller
-        # renames another file of the same layout over this one once it
-        # has read its own; it then finds another file where it reads the
-        # workers' ranges, so the csv parser reads the body from the
-        # handle that read the header.
+        # The workers die in their ranges, and the caller renames another
+        # file of the same layout over this one while it parses its own;
+        # it then parses the workers' ranges from the bytes it read before
+        # the rename, so the values are those of the file first opened.
         values, grid = split_csv(cpus, monkeypatch)
         values = np.random.default_rng(8).integers(1, 9, size=values.shape)
         path, other = tmp_path / "curves.csv", tmp_path / "other.csv"
@@ -1055,6 +1053,91 @@ class TestCurveCSVRead:
         _workers.spread(worker_blas_threads, [None] * 2)
         assert read_curves_csv(path).values.tobytes() == values.tobytes()
         assert len(forks) == 1 and len(pool_pids()) == (0 if split else 1)
+
+    def test_the_caller_opens_the_input_once(self, tmp_path, cpus,
+                                             monkeypatch):
+        # The body of 240 curves is split over the caller and a pooled
+        # worker, which parses the bytes it is sent and opens nothing.
+        cpus(2)
+        path = tmp_path / "curves.csv"
+        values = np.random.default_rng(9).normal(size=(240, 96))
+        path.write_bytes(curve_text(values, Grid.uniform(96).points.tolist()))
+        warm_pool(2)
+        opens = []
+        real_open = open
+
+        def counted(file, *args, **kwargs):
+            if str(file) == str(path):
+                opens.append(os.getpid())
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counted)
+        ranges = count_ranges(monkeypatch)
+        assert read_curves_csv(path).values.tobytes() == values.tobytes()
+        assert opens == [os.getpid()] and ranges == [2]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_byte_that_is_not_utf8_is_named_by_line_and_column(
+            self, tmp_path, capsys, fresh_pool, count):
+        # 400 curves of 96 values: three ranges at three CPUs.  Line 20
+        # starts well past the first 8 KiB, which the csv parser decodes
+        # as one chunk; a header error there still wins over the byte.
+        path = tmp_path / "curves.csv"
+        values = np.random.default_rng(10).normal(size=(400, 96))
+        lines = curve_text(values, Grid.uniform(96).points.tolist()).split(
+            b"\n")
+        assert len(b"\n".join(lines[:19])) > 8192
+
+        def with_byte(line, column, header=None):
+            text = [header or lines[0]] + lines[1:]
+            cells = text[line - 1].split(b",")
+            cells[column - 1] = cells[column - 1][:3] + b"\xff" \
+                + cells[column - 1][3:]
+            text[line - 1] = b",".join(cells)
+            path.write_bytes(b"\n".join(text))
+            return read_at(path, count)
+
+        assert with_byte(20, 5) == (
+            "error", "line 20: byte 0xff in column 5 is not UTF-8")
+        assert main(["test", str(path), "--d", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: line 20: byte 0xff in column 5 is not UTF-8\n")
+        assert with_byte(1, 3) == (
+            "error", "line 1: byte 0xff in column 3 is not UTF-8")
+        bad_header = lines[0].replace(b"t=0.0,", b"x=0.0,")
+        assert with_byte(20, 5, bad_header) == (
+            "error", "line 1: header column 1 must look like 't=<value>', "
+            "got 'x=0.0'")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_a_fifo_reads_like_the_file_on_the_split_path(
+            self, tmp_path, cpus, monkeypatch, count):
+        cpus(count)
+        path, fifo = tmp_path / "curves.csv", tmp_path / "curves.fifo"
+        os.mkfifo(fifo)
+        values = np.random.default_rng(count).normal(size=(340, 96))
+        text = curve_text(values, Grid.uniform(96).points.tolist())
+        warm_pool(count)
+
+        def through_fifo(data):
+            path.write_bytes(data)
+            writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+            writer.start()
+            try:
+                return read_outcome(read_curves_csv, fifo)
+            finally:
+                writer.join()
+
+        ranges = count_ranges(monkeypatch)
+        outcome = through_fifo(text)
+        assert ranges == [count]
+        assert outcome == read_outcome(read_curves_csv, path)
+        assert outcome[2] == values.tobytes()
+        bad = text[:-1].rsplit(b",", 1)[0] + b",x\n"
+        outcome = through_fifo(bad)
+        assert outcome[0] == "error"
+        assert outcome == read_outcome(read_curves_csv, path)
 
     def test_cli_test_forks_no_worker(self, tmp_path):
         # `python -m funcusum.cli test`, told it has three usable CPUs and
