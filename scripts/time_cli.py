@@ -1,14 +1,14 @@
-"""Wall time and peak memory of one-shot `funcusum simulate` and `funcusum test`.
+"""Wall time, peak memory and page faults of one-shot `simulate` and `test`.
 
 For each curve count n, runs `funcusum simulate CONFIG --out X.csv` and
 then `funcusum test X.csv --out X.json`, each in a fresh process with
 `OPENBLAS_NUM_THREADS=1`, `--runs` times, and prints the median and
-quartiles of each command's wall time and peak resident memory.  This is
-the path an analyst's shell takes: every command starts a new process, so
-nothing built by an earlier command is reused.  `--src` may be given more
-than once to time other checkouts' `src/` directories in the same rounds,
-alternating which goes first, for example a parent commit next to a
-change:
+quartiles of each command's wall time, peak resident memory and minor
+page faults.  This is the path an analyst's shell takes: every command
+starts a new process, so nothing built by an earlier command is reused.
+`--src` may be given more than once to time other checkouts' `src/`
+directories in the same rounds, alternating which goes first, for
+example a parent commit next to a change:
 
     python scripts/time_cli.py --runs 5
     python scripts/time_cli.py --runs 9 --src ../parent/src --src src
@@ -45,9 +45,9 @@ change_amplitude = 0.5
 """
 
 
-def timed_command(src: str, argv: list[str]) -> tuple[float, float]:
-    """Wall seconds and peak RSS (MB) of one CLI command in a fresh
-    process."""
+def timed_command(src: str, argv: list[str]) -> tuple[float, float, int]:
+    """Wall seconds, peak RSS (MB) and minor page faults of one CLI command
+    in a fresh process."""
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-c", RUN_CLI, *argv], env=env,
@@ -57,12 +57,13 @@ def timed_command(src: str, argv: list[str]) -> tuple[float, float]:
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise SystemExit(f"{argv[0]} failed with exit code {code}")
-    return seconds, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+    # ru_maxrss is in KiB on Linux.
+    return seconds, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def one_run(src: str, tmp: pathlib.Path, n: int) -> dict:
-    """Simulate then test n curves; each command's (wall, rss) and the
-    bytes that must not depend on the tree."""
+    """Simulate then test n curves; each command's (wall, rss, minflt) and
+    the bytes that must not depend on the tree."""
     config, csv, report = (tmp / f"{n}.cfg", tmp / f"{n}.csv",
                            tmp / f"{n}.json")
     config.write_text(CONFIG.format(n=n))
@@ -100,13 +101,16 @@ def main(argv=None) -> int:
                         times[src, n, cmd].append(measured)
                     first.setdefault((src, n), done["bytes"])
     print(f"{args.runs} runs each, nproc {os.cpu_count()}, OpenBLAS pinned")
-    print("src  n  command  wall_ms q1/median/q3  peak_rss_mb q1/median/q3")
+    print("src  n  command  wall_ms q1/median/q3  peak_rss_mb q1/median/q3  "
+          "minflt q1/median/q3")
     for (src, n, cmd), runs in times.items():
-        wall = quartiles([1e3 * w for w, _ in runs])
-        rss = quartiles([r for _, r in runs])
+        wall = quartiles([1e3 * w for w, _, _ in runs])
+        rss = quartiles([r for _, r, _ in runs])
+        minflt = quartiles([f for _, _, f in runs])
         print(f"{src}  {n}  {cmd}  "
               + "/".join(f"{v:.1f}" for v in wall) + "  "
-              + "/".join(f"{v:.1f}" for v in rss))
+              + "/".join(f"{v:.1f}" for v in rss) + "  "
+              + "/".join(f"{v:.0f}" for v in minflt))
     if len(srcs) == 1:
         return 0
     differ = [f"{src} n={n}" for src, n in first

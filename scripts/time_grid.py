@@ -1,11 +1,11 @@
-"""Wall time and peak memory of one `funcusum tables` run, BLAS pinned and not.
+"""Wall time, peak memory and page faults of one `funcusum tables` run.
 
 Runs `funcusum tables CONFIG --quiet --no-timing` in a fresh process
 `--runs` times with `OPENBLAS_NUM_THREADS=1` and `--runs` times without
 it, alternating the two, and prints the median and quartiles of each
-run's wall time and peak resident memory.  `--src` may be given more than
-once to time other checkouts' `src/` directories in the same rounds, for
-example a parent commit next to a change:
+run's wall time, peak resident memory and minor page faults.  `--src`
+may be given more than once to time other checkouts' `src/` directories
+in the same rounds, for example a parent commit next to a change:
 
     python scripts/time_grid.py scripts/size_tables_quick.cfg --runs 5
     python scripts/time_grid.py scripts/cell_n500.cfg --runs 5 \\
@@ -31,9 +31,9 @@ RUN_TABLES = "import sys; from funcusum.cli import main; sys.exit(main())"
 
 
 def timed_run(src: str, config: str, pinned: bool, out: str
-              ) -> tuple[float, float]:
-    """Wall seconds and peak RSS (MB) of one `tables` run in a fresh
-    process."""
+              ) -> tuple[float, float, int]:
+    """Wall seconds, peak RSS (MB) and minor page faults of one `tables`
+    run in a fresh process."""
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if pinned:
@@ -47,7 +47,8 @@ def timed_run(src: str, config: str, pinned: bool, out: str
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise SystemExit(f"tables run failed with exit code {proc.returncode}")
-    return seconds, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+    # ru_maxrss is in KiB on Linux.
+    return seconds, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -85,13 +86,16 @@ def main(argv=None) -> int:
                 if run == 0:
                     first_csv[src, pinned] = out.read_bytes()
     print(f"{args.config}: {args.runs} runs each, nproc {os.cpu_count()}")
-    print("src  BLAS  wall_s q1/median/q3  peak_rss_mb q1/median/q3")
+    print("src  BLAS  wall_s q1/median/q3  peak_rss_mb q1/median/q3  "
+          "minflt q1/median/q3")
     for (src, pinned), runs in results.items():
-        wall = quartiles([w for w, _ in runs])
-        rss = quartiles([r for _, r in runs])
+        wall = quartiles([w for w, _, _ in runs])
+        rss = quartiles([r for _, r, _ in runs])
+        minflt = quartiles([f for _, _, f in runs])
         print(f"{src}  {blas(pinned)}  "
               + "/".join(f"{v:.2f}" for v in wall) + "  "
-              + "/".join(f"{v:.1f}" for v in rss))
+              + "/".join(f"{v:.1f}" for v in rss) + "  "
+              + "/".join(f"{v:.0f}" for v in minflt))
     if len(srcs) == 1:
         return 0
     differ = [f"{src} {blas(pinned)}" for src, pinned in first_csv

@@ -1,18 +1,22 @@
-"""One job spread over worker processes that live as long as the process.
+"""One job spread over worker processes that live as long as the
+process, and the process-wide C-library settings that jobs run under.
 
 The package's only source of parallelism: a Monte Carlo cell spreads its
 chunks of replications here, a curve CSV write its blocks of rows to
 format, and a curve CSV read its byte ranges of rows to parse, over the
 workers already pooled (warm_width()).  This module imports nothing
-from the package, so each can use it.
+from the package, so each can use it.  It is also the only module that
+touches the process's C libraries: one_blas_thread() holds numpy's
+bundled OpenBLAS at one thread, in a cell's caller and in each worker,
+and every job first sets glibc's heap thresholds (_heap_policy()).
 
 spread() cuts a job's items into contiguous runs, one per process.  Up
 to usable_cpus() - 1 workers are forked the first time a job needs
-them, then kept, so later jobs fork nothing.  A worker holds numpy's
-bundled OpenBLAS at one thread and loops on its task pipe: it reads a
-pickled (function, run of items, args), runs it and writes the pickled
-list of results to its result pipe.  A pickle marks its own end, so the
-pipes carry nothing else.  The rules that bound a worker's life:
+them, then kept, so later jobs fork nothing.  A worker loops on its
+task pipe: it reads a pickled (function, run of items, args), runs it
+and writes the pickled list of results to its result pipe.  A pickle
+marks its own end, so the pipes carry nothing else.  The rules that
+bound a worker's life:
 
 - At interpreter exit the task pipes are closed and every worker is
   reaped, killed if it has not exited after _EXIT_WAIT_S.
@@ -45,6 +49,12 @@ import numpy as np
 
 # Seconds close() waits for the workers to exit before it kills them.
 _EXIT_WAIT_S = 1.0
+
+# glibc's mallopt parameters, and the mmap threshold in bytes: well above
+# the 0.3-1.9 MB temporaries that a Monte Carlo chunk allocates and frees.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 8_016_008
 
 
 class _Worker(NamedTuple):
@@ -91,6 +101,38 @@ def openblas_threads() -> tuple[Callable, Callable] | None:
     return None
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread, then restore its count.
+    The pipeline's matrices are small, so BLAS threads gain a cell nothing,
+    and between calls they spin on the cores a cell's workers need."""
+    get, set_ = openblas_threads() or (lambda: None, lambda count: None)
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
+
+@functools.cache
+def _heap_policy() -> None:
+    """Serve allocations under _MMAP_THRESHOLD bytes from glibc's heap and
+    return its free top to the system only beyond twice that, where the C
+    library has mallopt.  At glibc's default 128 kB threshold each of a
+    chunk's temporaries is a fresh mapping, and a serial n = 500, R = 96
+    cell at d = 1 took 8208-8213 minor faults, not 0-1; a curve CSV read
+    of 1000 x 96 values took about 1100 on every read, not 0."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def spread(function: Callable, items: list, *args) -> list:
     """[function(item, *args) for item in items].  The items are cut into
     min(usable_cpus(), len(items)) contiguous runs: the calling process
@@ -99,7 +141,9 @@ def spread(function: Callable, items: list, *args) -> list:
     name), its run and `args` pickled, and pickles its results back.  A
     run that a worker does not deliver is run here, so the result never
     depends on a worker's fate.  With one run, or while another thread's
-    job holds the pool, every item runs here."""
+    job holds the pool, every item runs here.  Sets the heap policy first,
+    for this process and the workers it forks."""
+    _heap_policy()
     width = min(usable_cpus(), len(items))
     if width < 2 or not _lock.acquire(blocking=False):
         return _run(function, items, args)
@@ -190,11 +234,9 @@ def _serve(tasks: int, results: int) -> None:
     """A worker's loop: run each task read from `tasks` and write its
     results to `results`, until EOF on `tasks`.  A task that raises ends
     the worker, and the caller runs that run."""
-    _, set_ = openblas_threads() or (None, lambda count: None)
-    set_(1)
-    reader = open(tasks, "rb")
-    while (task := _receive(reader)) is not None:
-        _send(results, _run(*task))
+    with one_blas_thread(), open(tasks, "rb") as reader:
+        while (task := _receive(reader)) is not None:
+            _send(results, _run(*task))
 
 
 def _drop(worker: _Worker) -> None:

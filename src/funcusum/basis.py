@@ -361,6 +361,7 @@ def read_curves_csv(path: str) -> CurveMatrix:
         data = fh.read()
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data),
                                          encoding="utf-8-sig", newline=""))
+    line = 1  # where the record being read starts
     try:
         header = next(reader, None)
         if header is None:
@@ -389,13 +390,15 @@ def read_curves_csv(path: str) -> CurveMatrix:
             pts = (pts - pts[0]) / (pts[-1] - pts[0])
             pts[-1] = 1.0
             rescaled = True
-        if reader.line_num == 1:
+        line = reader.line_num + 1
+        if line == 2:
             values = _parsed_body(data, pts.size)
             if values is not None:
                 return CurveMatrix(values, Grid(pts), rescaled)
         rows = []
         linenos = []
         for lineno, row in enumerate(reader, start=2):
+            line = reader.line_num + 1
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != pts.size:
@@ -411,6 +414,8 @@ def read_curves_csv(path: str) -> CurveMatrix:
             linenos.append(lineno)
     except UnicodeDecodeError:
         raise _not_utf8(data) from None
+    except csv.Error as exc:  # such as an unterminated quote
+        raise CurveCSVError(f"line {line}: {exc}") from None
     if not rows:
         raise CurveCSVError("line 2: no curve rows found")
     values = np.asarray(rows, dtype=float)

@@ -214,21 +214,6 @@ def _cell_setup(coords: CellCoords, settings: ExperimentGrid,
     return spec, cfg, critical_value(cfg, s["n"])
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold numpy's bundled OpenBLAS at one thread, then restore its count.
-    The pipeline's matrices are small, so BLAS threads gain a cell nothing,
-    and between calls they spin on the cores a cell's workers need."""
-    get, set_ = _workers.openblas_threads() or (lambda: None,
-                                                lambda count: None)
-    count = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(count)
-
-
 def _run_chunk(streams: list[tuple[int, int, int]], sim: Far1Simulator,
                cfg: TestConfig, crit: float) -> list | None:
     """A (reject, k_hat) pair per replication of a chunk of streams, or
@@ -250,7 +235,7 @@ def _replicate(coords: CellCoords, sim: Far1Simulator, cfg: TestConfig,
                for rep in range(first, min(first + _CHUNK, replications))]
               for first in range(0, replications, _CHUNK)]
     outcomes: list[tuple[bool, int]] = []
-    with _one_blas_thread():
+    with _workers.one_blas_thread():
         done = _workers.spread(_run_chunk, chunks, sim, cfg, crit)
         for streams, chunk in zip(chunks, done):
             if chunk is not None:

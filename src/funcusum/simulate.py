@@ -7,8 +7,6 @@ into a B-spline working basis at every step.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -66,7 +64,6 @@ def calibrate_kernel(kind: str, psi: float) -> IntegralKernel:
         raise ValueError(f"need 0 <= psi < 1, got {psi}")
     if kind not in _BASE_KERNELS:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    _heap_policy()
     return IntegralKernel(kind=kind, psi=psi,
                           scale=psi / math.sqrt(_BASE_SQ_NORMS[kind]))
 
@@ -77,35 +74,6 @@ _BASE_SQ_NORMS = {
     "gaussian": float.fromhex("0x1.11d644bb29d5dp+1"),
     "wiener": float.fromhex("0x1.55556084a515dp-3"),
 }
-
-# glibc's mallopt parameters, and the bytes of a 1001 x 1001 float64
-# matrix: the quadrature that computed the norms above allocated one.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 1001 * 1001 * 8
-
-
-@functools.cache
-def _heap_policy() -> None:
-    """Serve allocations under _MMAP_THRESHOLD bytes from glibc's heap, and
-    return its free top to the system only beyond twice that.
-
-    A Monte Carlo chunk allocates and frees temporaries of 0.3-1.9 MB.
-    Above glibc's default 128 kB threshold each would be a fresh mapping:
-    a serial n = 500, R = 96 cell at d = 1, with OpenBLAS pinned to one
-    thread, took 8208-8213 minor faults instead of 0-1.  These are the
-    thresholds that freeing the quadrature's matrix used to leave behind
-    (glibc raises them itself when a mapped block is freed).  Where the C
-    library has no mallopt, nothing is set.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
 def _bridges(grid: Grid, rng: np.random.Generator, out: np.ndarray,

@@ -5,6 +5,7 @@ import functools
 import math
 import os
 import pathlib
+import platform
 import signal
 import subprocess
 import sys
@@ -1108,6 +1109,54 @@ class TestCurveCSVRead:
         assert with_byte(20, 5, bad_header) == (
             "error", "line 1: header column 1 must look like 't=<value>', "
             "got 'x=0.0'")
+
+    @pytest.mark.parametrize("line, column", [(2, 1), (1, 2), (7, 4)])
+    def test_an_unterminated_quote_is_an_input_error(self, tmp_path, capsys,
+                                                     line, column):
+        # 400 curves of 96 values: the quote's field runs past the csv
+        # parser's field limit (128 KiB), which it reports as csv.Error.
+        path = tmp_path / "curves.csv"
+        values = np.random.default_rng(11).normal(size=(400, 96))
+        lines = curve_text(values, Grid.uniform(96).points.tolist()).split(
+            b"\n")
+        cells = lines[line - 1].split(b",")
+        cells[column - 1] = b'"' + cells[column - 1]
+        lines[line - 1] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        message = f"line {line}: field larger than field limit"
+        outcome = read_outcome(read_curves_csv, path)
+        assert outcome[0] == "error" and outcome[1].startswith(message)
+        assert main(["test", str(path), "--d", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="glibc's dynamic mmap threshold")
+    def test_a_warm_read_takes_no_page_faults(self, tmp_path):
+        # With no kernel calibrated, the first read sets the heap policy
+        # (in the _workers.spread of its slices, after it has read the
+        # file's bytes), and the second grows the heap to hold the bytes
+        # and the body slice together, about 4 MB at 1000 x 96 curves:
+        # here 1100-1200 and about 900 minor faults.  Every later read
+        # reuses the heap; under glibc's default thresholds each took
+        # about 1100.
+        path = tmp_path / "curves.csv"
+        path.write_bytes(curve_text(np.random.default_rng(12).normal(
+            size=(1000, 96)), Grid.uniform(96).points.tolist()))
+        script = (
+            "import resource, sys\n"
+            "from funcusum.basis import read_curves_csv\n"
+            "read_curves_csv(sys.argv[1])\n"
+            "read_curves_csv(sys.argv[1])\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "read_curves_csv(sys.argv[1])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt "
+            "- before)\n")
+        src = pathlib.Path(basis_module.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True,
+            text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     @pytest.mark.parametrize("count", [2, 3])

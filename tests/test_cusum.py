@@ -32,8 +32,9 @@ from funcusum.cusum import TestConfig as Config
 from funcusum.cusum import TestResult as Result
 from funcusum.harness import ExperimentGrid, run_cell
 from funcusum.lrcov import _KERNELS, lrcov_estimate
-from funcusum.simulate import (Far1Simulator, SimSpec, _heap_policy,
-                               calibrate_kernel, make_change)
+from funcusum._workers import _heap_policy
+from funcusum.simulate import (Far1Simulator, SimSpec, calibrate_kernel,
+                               make_change)
 
 
 def naive_scores(sample, eigvecs, d):

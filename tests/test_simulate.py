@@ -148,12 +148,12 @@ class TestCalibrateKernel:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="glibc's dynamic mmap threshold")
     def test_serial_cell_takes_no_page_faults_once_warm(self):
-        # calibrate_kernel calls simulate._heap_policy, which sets glibc's
-        # mmap threshold above a chunk's temporaries, so a warm cell reuses
-        # the heap.  Without that threshold the second cell below took
-        # about 8200 minor faults; it takes 0-2.  At d = 2 both read under
-        # 50, so the cell is at d = 1.  OpenBLAS is pinned to one thread,
-        # as in the runs that measured these counts.
+        # A cell's _workers.spread calls _workers._heap_policy, which sets
+        # glibc's mmap threshold above a chunk's temporaries, so a warm cell
+        # reuses the heap.  Without that threshold the second cell below
+        # took about 8200 minor faults; it takes 0-2.  At d = 2 both read
+        # under 50, so the cell is at d = 1.  OpenBLAS is pinned to one
+        # thread, as in the runs that measured these counts.
         script = (
             "import resource\n"
             "from funcusum import _workers\n"
