@@ -122,7 +122,7 @@ def _heap_policy() -> None:
     library has mallopt.  At glibc's default 128 kB threshold each of a
     chunk's temporaries is a fresh mapping, and a serial n = 500, R = 96
     cell at d = 1 took 8208-8213 minor faults, not 0-1; a curve CSV read
-    of 1000 x 96 values took about 1100 on every read, not 0."""
+    of 1000 x 96 values took about 1100 on every read, not 0 once warm."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):

@@ -397,8 +397,8 @@ def read_curves_csv(path: str) -> CurveMatrix:
                 return CurveMatrix(values, Grid(pts), rescaled)
         rows = []
         linenos = []
-        for lineno, row in enumerate(reader, start=2):
-            line = reader.line_num + 1
+        for row in reader:
+            lineno, line = line, reader.line_num + 1
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != pts.size:

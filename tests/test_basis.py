@@ -541,6 +541,14 @@ class TestCurveCSV:
         with pytest.raises(CurveCSVError, match="line 3"):
             read_curves_csv(path)
 
+    def test_a_quoted_line_break_counts_in_line_numbers(self, tmp_path):
+        # A record's line is the physical line it starts on, so a quoted
+        # cell that holds a line break moves the line of every later row.
+        path = tmp_path / "bad.csv"
+        path.write_text('t=0.0,t=1.0\n"1.0\n",2.0\n3.0,4.0\n5.0,x\n')
+        with pytest.raises(CurveCSVError, match="^line 5: .*column 2"):
+            read_curves_csv(path)
+
     def test_non_numeric_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t=0.0,t=1.0\noops,2.0\n")
