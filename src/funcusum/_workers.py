@@ -8,7 +8,8 @@ workers already pooled (warm_width()).  This module imports nothing
 from the package, so each can use it.  It is also the only module that
 touches the process's C libraries: one_blas_thread() holds numpy's
 bundled OpenBLAS at one thread, in a cell's caller and in each worker,
-and every job first sets glibc's heap thresholds (_heap_policy()).
+and glibc's heap thresholds are set (_heap_policy()) by every job, and
+by a simulation or a curve CSV read before it makes its arrays.
 
 spread() cuts a job's items into contiguous runs, one per process.  Up
 to usable_cpus() - 1 workers are forked the first time a job needs

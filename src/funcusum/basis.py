@@ -355,8 +355,10 @@ def read_curves_csv(path: str) -> CurveMatrix:
     reads the same bytes on from the header, accepts every cell float()
     accepts and names the line and column of the first bad one.  A
     leading UTF-8 byte-order mark, as spreadsheet programs write, is
-    skipped.
+    skipped.  Sets the package's heap policy first, before the file's
+    bytes are read.
     """
+    _workers._heap_policy()
     with open(path, "rb") as fh:
         data = fh.read()
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data),

@@ -57,15 +57,17 @@ class TestConfig:
 
 
 class CusumStats(NamedTuple):
-    """The data-dependent outcome of the test: one value per sample of a
-    batch in each array field."""
+    """The data-dependent outcome of the test, one value per sample of a
+    batch in each of statistic, k_standardized and degenerate, and the
+    pieces it was computed from: the batch in the orthonormal working
+    basis and its partial-sum scores eta."""
 
     h: float
     statistic: np.ndarray
     k_standardized: np.ndarray
-    k_unstandardized: np.ndarray
-    k_fully_functional: np.ndarray
     degenerate: np.ndarray
+    sample: FunctionalSample
+    eta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -310,15 +312,14 @@ def _fully_functional_max(sample: FunctionalSample,
 
 
 def cusum_stats(sample: FunctionalSample, cfg: TestConfig) -> CusumStats:
-    """Orthonormalize, estimate long-run FPCs, take the weighted CUSUM
-    maxima and locate the change, for each sample of a batch.
+    """Orthonormalize, estimate long-run FPCs, take the standardized
+    weighted CUSUM maximum and locate the change, for each sample of a
+    batch.
 
     Samples in a non-orthonormal basis are converted to a Fourier basis of
-    cfg.fourier_size on a uniform 201-point grid first.  All three change
-    locators use the smallest-index tie rule: standardized and
-    unstandardized maximize over the d projected scores, the fully
-    functional one over the full centered cumulative coefficient vector.
-    A sample's numbers do not depend on the batch it is in.
+    cfg.fourier_size on a uniform 201-point grid first.  The locator is
+    the smallest maximizing k; run_test adds the other two.  A sample's
+    numbers do not depend on the batch it is in.
     """
     n = len(sample)
     if n < 3:
@@ -332,10 +333,8 @@ def cusum_stats(sample: FunctionalSample, cfg: TestConfig) -> CusumStats:
     eta = scores(work, eigvecs, cfg.d)
     lam = eigvals[..., :cfg.d]
     t_stat, k_std = statistic(eta, lam)
-    _, k_unstd = statistic(eta)
-    _, k_full = _fully_functional_max(work)
-    return CusumStats(h, t_stat, k_std, k_unstd, k_full,
-                      np.any(lam <= 0.0, axis=-1))
+    return CusumStats(h, t_stat, k_std, np.any(lam <= 0.0, axis=-1), work,
+                      eta)
 
 
 def critical_value(cfg: TestConfig, n: int) -> float:
@@ -348,10 +347,15 @@ def critical_value(cfg: TestConfig, n: int) -> float:
 
 def run_test(sample: FunctionalSample, cfg: TestConfig) -> TestResult:
     """Full pipeline for one sample: cusum_stats on a batch of one, then
-    the critical value, the normalized statistic and both p-values."""
+    the critical value, the normalized statistic, both p-values and the
+    other two change locators, all with the smallest-index tie rule: the
+    unstandardized one maximizes over the d projected scores, the fully
+    functional one over the full centered cumulative coefficient vector."""
     n = len(sample)
     stats = cusum_stats(FunctionalSample(sample.coeffs[None], sample.basis),
                         cfg)
+    _, k_unstd = statistic(stats.eta)
+    _, k_full = _fully_functional_max(stats.sample)
     crit = critical_value(cfg, n)
     t_stat = float(stats.statistic[0])
     a, b = normalizers(n, cfg.d)
@@ -363,6 +367,6 @@ def run_test(sample: FunctionalSample, cfg: TestConfig) -> TestResult:
         p_vostrikova=vostrikova_pvalue(t_stat, n, cfg.d),
         critical_value=crit, reject=bool(t_stat > crit),
         k_hat_standardized=int(stats.k_standardized[0]),
-        k_hat_unstandardized=int(stats.k_unstandardized[0]),
-        k_hat_fully_functional=int(stats.k_fully_functional[0]),
+        k_hat_unstandardized=int(k_unstd[0]),
+        k_hat_fully_functional=int(k_full[0]),
         degenerate=bool(stats.degenerate[0]))

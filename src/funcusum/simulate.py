@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _workers
 from .basis import (FunctionalSample, Grid, _fit_design, _fit_smoother,
                     bspline_basis, fit_sample)
 
@@ -76,24 +77,34 @@ _BASE_SQ_NORMS = {
 }
 
 
-def _bridges(grid: Grid, rng: np.random.Generator, out: np.ndarray,
-             draws: np.ndarray) -> np.ndarray:
-    """Fill `out`, shape (size, T), with `size` Brownian bridge paths at
-    the grid points, drawn from `rng`, and return it.  The law is the exact
-    finite-dimensional one.
+# Seeds drawn and summed in one buffer, 3.6 MB at n = 500: far below the
+# heap's mmap threshold, so the buffer is reused, not mapped afresh.
+_GROUP = 8
 
-    B(t_k) = W(t_k) - t_k W(1) for a standard Wiener path W built from
-    independent Gaussian increments over the grid spacings.  The increments
-    are drawn into `draws`, shape (size, T - 1), which is scaled and summed
-    in place; both buffers can be reused from one call to the next.
-    """
+
+def _wiener_paths(grid: Grid, rngs: list[np.random.Generator],
+                  out: np.ndarray) -> np.ndarray:
+    """Fill `out`, shape (len(rngs), size, T - 1), with `size` Wiener paths
+    at the grid points after the first from each generator, and return it.
+    The increments are summed column by column across every path at once:
+    the additions np.cumsum makes along each path, in the same order."""
+    for rng, draws in zip(rngs, out):
+        rng.standard_normal(out=draws)
+    out *= np.sqrt(np.diff(grid.points))
+    flat = out.reshape(-1, out.shape[-1])
+    for k in range(1, flat.shape[1]):
+        np.add(flat[:, k - 1], flat[:, k], out=flat[:, k])
+    return out
+
+
+def _bridges(grid: Grid, wiener: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, shape (size, T), with the Brownian bridges
+    B(t_k) = W(t_k) - t_k W(1) of the Wiener paths `wiener` and return it.
+    The law is the exact finite-dimensional one."""
     pts = grid.points
-    rng.standard_normal(out=draws)
-    draws *= np.sqrt(np.diff(pts))
-    np.cumsum(draws, axis=1, out=draws)
     w = out[:, 1:]
-    np.multiply(pts[1:], draws[:, -1:], out=w)
-    np.subtract(draws, w, out=w)
+    np.multiply(pts[1:], wiener[:, -1:], out=w)
+    np.subtract(wiener, w, out=w)
     out[:, 0] = 0.0
     return out
 
@@ -270,7 +281,9 @@ class Far1Simulator:
         own stream, stacked on a leading axis; sample b equals
         generate(seed[b]) bitwise.  It runs on the calling thread; the
         Monte Carlo harness runs several batches at once, one per process.
+        Sets the package's heap policy first, before any array is made.
         """
+        _workers._heap_policy()
         spec = self.spec
         batch = isinstance(seed, list)
         seeds = seed if batch else [spec.seed if seed is None else seed]
@@ -280,11 +293,15 @@ class Far1Simulator:
         # one step for the whole batch at a time.
         coeffs = np.empty((total, len(seeds), spec.basis_size))
         bridge = np.empty((total, size))
-        draws = np.empty((total, size - 1))
-        for b, one in enumerate(seeds):
-            rng = np.random.default_rng(np.random.SeedSequence(one))
-            _bridges(self.grid, rng, bridge, draws)
-            np.matmul(bridge, self._smoother.T, out=coeffs[:, b, :])
+        draws = np.empty((min(_GROUP, len(seeds)), total, size - 1))
+        for first in range(0, len(seeds), _GROUP):
+            group = seeds[first:first + _GROUP]
+            wiener = _wiener_paths(
+                self.grid, [np.random.default_rng(np.random.SeedSequence(one))
+                            for one in group], draws[:len(group)])
+            for b, paths in enumerate(wiener, start=first):
+                _bridges(self.grid, paths, bridge)
+                np.matmul(bridge, self._smoother.T, out=coeffs[:, b, :])
         prod = np.zeros((len(seeds), spec.basis_size, 1))  # step @ state
         for state in coeffs:
             state += prod[..., 0]

@@ -1140,20 +1140,19 @@ class TestCurveCSVRead:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="glibc's dynamic mmap threshold")
     def test_a_warm_read_takes_no_page_faults(self, tmp_path):
-        # With no kernel calibrated, the first read sets the heap policy
-        # (in the _workers.spread of its slices, after it has read the
-        # file's bytes), and the second grows the heap to hold the bytes
-        # and the body slice together, about 4 MB at 1000 x 96 curves:
-        # here 1100-1200 and about 900 minor faults.  Every later read
-        # reuses the heap; under glibc's default thresholds each took
-        # about 1100.
+        # In a fresh process that has run no other job, the first read
+        # sets the heap policy before it reads the file's bytes, so it
+        # grows the heap to hold the bytes and the body slice together,
+        # about 4 MB at 1000 x 96 curves (1100-1200 minor faults), and
+        # the second read reuses the heap.  With the policy set after the
+        # bytes are read, the second read takes about 920; under glibc's
+        # default thresholds every read takes about 1100.
         path = tmp_path / "curves.csv"
         path.write_bytes(curve_text(np.random.default_rng(12).normal(
             size=(1000, 96)), Grid.uniform(96).points.tolist()))
         script = (
             "import resource, sys\n"
             "from funcusum.basis import read_curves_csv\n"
-            "read_curves_csv(sys.argv[1])\n"
             "read_curves_csv(sys.argv[1])\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "read_curves_csv(sys.argv[1])\n"

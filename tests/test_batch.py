@@ -31,7 +31,8 @@ from funcusum.cusum import (_partial_sums, _standardized_sumsq, run_test,
 from funcusum.harness import (_CHUNK, CellCoords, CellResult, ExperimentGrid,
                               _cell_setup, run_cell)
 from funcusum.lrcov import _abs_sorted_eigh, lag_cov, lrcov_estimate
-from funcusum.simulate import Far1Simulator, SimSpec, _bridges, calibrate_kernel
+from funcusum.simulate import (_GROUP, Far1Simulator, SimSpec, _bridges,
+                               _wiener_paths, calibrate_kernel, make_change)
 
 from conftest import (Stop, assert_gone, assert_no_child, count_forks,
                       pool_pids)
@@ -99,12 +100,28 @@ def test_run_cell_equals_fold_over_run_test(reps, n, d, lag_kernel, h, kernel,
     assert run_cell(coords, grid, timer=lambda: 0.0) == fold(coords, grid)
 
 
-def test_batch_equals_per_seed_samples():
-    sim = simulator()
-    batch = sim.generate(SEEDS)
-    assert batch.coeffs.shape == (len(SEEDS), 60, 25)
-    for b, seed in enumerate(SEEDS):
-        assert np.array_equal(batch.coeffs[b], sim.generate(seed).coeffs)
+@settings(max_examples=25, deadline=None)
+@given(size=st.sampled_from([1, _GROUP - 1, _GROUP, _GROUP + 1,
+                             2 * _GROUP + 1, 16, 17]),
+       n=st.sampled_from([2, 13, 60]), burn_in=st.sampled_from([0, 20]),
+       kernel=st.sampled_from(["gaussian", "wiener"]),
+       psi=st.sampled_from([0.0, 0.5, 0.9]),
+       change=st.sampled_from([None, "sin", "constant"]),
+       seed=st.integers(0, 2**32))
+def test_batch_equals_per_seed_samples(size, n, burn_in, kernel, psi, change,
+                                       seed):
+    # Each sample of a batch, whose seeds are drawn and summed in groups,
+    # is bitwise that seed's sample drawn alone and the one that the
+    # per-path np.cumsum reference gives.
+    sim = Far1Simulator(SimSpec(
+        n=n, kernel=calibrate_kernel(kernel, psi), burn_in=burn_in,
+        change=change and make_change(change, 0.4, 0.7)))
+    seeds = [(seed, 3, rep) for rep in range(size)]
+    batch = sim.generate(seeds)
+    assert batch.coeffs.shape == (size, n, 25)
+    for b, one in enumerate(seeds):
+        assert np.array_equal(batch.coeffs[b], sim.generate(one).coeffs)
+        assert np.array_equal(batch.coeffs[b], reference_sample(sim, one))
 
 
 def small_cell(reps, index=2):
@@ -477,8 +494,9 @@ def test_standard_normal_into_buffer_equals_normal():
 
 
 def stacked_bridges(grid, seeds, size):
-    """The stacked bridge draw the per-sample writer replaced: each seed's
-    increments go into one stack, which is scaled and summed at once."""
+    """The reference bridge draw: each seed's increments go into one
+    stack, which is scaled at once and summed along each path by
+    np.cumsum."""
     pts = grid.points
     out = np.zeros((len(seeds), size, pts.size))
     draws = np.empty((size, pts.size - 1))
@@ -494,6 +512,23 @@ def stacked_bridges(grid, seeds, size):
     return out
 
 
+def reference_sample(sim, seed):
+    """One sample by the per-path np.cumsum bridges of stacked_bridges, a
+    matrix-vector AR step per curve, and the shift added after the
+    change."""
+    spec = sim.spec
+    shocks = stacked_bridges(sim.grid, [seed],
+                             spec.burn_in + spec.n)[0] @ sim._smoother.T
+    coeffs = np.empty_like(shocks)
+    state = np.zeros(spec.basis_size)
+    for t, shock in enumerate(shocks):
+        coeffs[t] = state = shock + sim._step @ state
+    coeffs = coeffs[spec.burn_in:]
+    if spec.change is not None:
+        coeffs[math.floor(spec.n * spec.change.theta):] += sim._delta_coeffs
+    return coeffs
+
+
 def test_stacked_bridges_and_smoothing_into_time_major_layout():
     # With a zero AR step and no burn-in, generate returns the smoothed
     # shocks themselves.
@@ -504,10 +539,12 @@ def test_stacked_bridges_and_smoothing_into_time_major_layout():
     stacked_coeffs = np.empty((80, len(SEEDS), 25))
     np.matmul(stack, sim._smoother.T, out=stacked_coeffs.transpose(1, 0, 2))
     assert np.array_equal(coeffs, stacked_coeffs)
-    bridge, draws = np.empty((80, 96)), np.empty((80, 95))
-    for b, seed in enumerate(SEEDS):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        one = _bridges(sim.grid, rng, bridge, draws)
+    wiener = _wiener_paths(
+        sim.grid, [np.random.default_rng(np.random.SeedSequence(seed))
+                   for seed in SEEDS], np.empty((len(SEEDS), 80, 95)))
+    bridge = np.empty((80, 96))
+    for b, paths in enumerate(wiener):
+        one = _bridges(sim.grid, paths, bridge)
         assert np.array_equal(stack[b], one)
         assert np.array_equal(coeffs[:, b], one @ sim._smoother.T)
 

@@ -32,6 +32,7 @@ from funcusum.harness import (
     grid_sidecar,
     run_cell,
     _cell_setup,
+    _run_chunk,
     run_grid,
 )
 from funcusum.simulate import Far1Simulator, SimSpec
@@ -229,6 +230,28 @@ class TestRunCell:
                        timer=FROZEN_TIMER)
         assert res.error is None and res.completed == 2 * _CHUNK + 3
         assert calls == [(0.10, 40, 2)]
+
+    def test_chunk_computes_only_the_locator_a_cell_keeps(self, monkeypatch):
+        # A cell keeps the statistic and the standardized locator; the
+        # unstandardized locator (statistic without eigenvalues) and the
+        # fully functional one are computed by run_test alone.
+        calls = []
+        for name in ("statistic", "_fully_functional_max"):
+            def counted(*args, _fn=getattr(cusum, name), _name=name):
+                calls.append((_name, len(args)))
+                return _fn(*args)
+            monkeypatch.setattr(cusum, name, counted)
+        g = ExperimentGrid(replications=_CHUNK, seed=4, burn_in=10)
+        spec, cfg, crit = _cell_setup(
+            CellCoords(0, 40, "gaussian", 0.2, 1.0, 2, True), g)
+        sim = Far1Simulator(spec)
+        streams = [(4, 0, rep) for rep in range(_CHUNK)]
+        assert _run_chunk(streams, sim, cfg, crit) is not None
+        assert calls == [("statistic", 2)]
+        calls.clear()
+        run_test(sim.generate(streams[0]), cfg)
+        assert sorted(calls) == [("_fully_functional_max", 1),
+                                 ("statistic", 1), ("statistic", 2)]
 
     def test_null_cell_rejection_plausible(self):
         g = ExperimentGrid(replications=200, seed=0)

@@ -22,6 +22,7 @@ from funcusum.simulate import (
     SimSpec,
     _BASE_SQ_NORMS,
     _bridges,
+    _wiener_paths,
     calibrate_kernel,
     make_change,
 )
@@ -70,8 +71,9 @@ def fitted_curve_delta_coeffs(shape, amplitude, grid_points, basis_size,
 
 def bridges(grid, seed, size):
     """`size` bridge paths on `grid` from a fresh generator."""
-    return _bridges(grid, np.random.default_rng(seed),
-                    np.empty((size, len(grid))), np.empty((size, len(grid) - 1)))
+    wiener = _wiener_paths(grid, [np.random.default_rng(seed)],
+                           np.empty((1, size, len(grid) - 1)))
+    return _bridges(grid, wiener[0], np.empty((size, len(grid))))
 
 
 def mean_scores(sample):
