@@ -84,8 +84,9 @@ _GROUP = 8
 
 def _wiener_paths(grid: Grid, rngs: list[np.random.Generator],
                   out: np.ndarray) -> np.ndarray:
-    """Fill `out`, shape (len(rngs), size, T - 1), with `size` Wiener paths
-    at the grid points after the first from each generator, and return it.
+    """Fill `out`, shape (len(rngs), size, T - 1), with `size` standard
+    Wiener paths per generator at the grid points after the first, built
+    from its Gaussian increments over the grid spacings, and return it.
     The increments are summed column by column across every path at once:
     the additions np.cumsum makes along each path, in the same order."""
     for rng, draws in zip(rngs, out):
